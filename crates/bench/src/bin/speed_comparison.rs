@@ -2,9 +2,10 @@
 //! million insertions per second for every algorithm on every dataset, at
 //! the 50 KB default budget, measured on the live stream replay.
 //!
-//! Criterion microbenches (`cargo bench -p ltc-bench`) give the
-//! statistically rigorous per-operation numbers; this binary gives the
-//! end-to-end table across all algorithms and datasets in one shot.
+//! This binary gives the end-to-end table across all algorithms and
+//! datasets in one shot. LTC's batched and parallel ingest paths are
+//! measured by `pipeline_speed`, and its query latency by the repository
+//! benchmark (`perfbench/`).
 
 use ltc_bench::{dataset, emit, memory_sweep_kb, sweep_point};
 use ltc_common::{MemoryBudget, Weights};

@@ -2,9 +2,8 @@
 //! retained array-of-structs reference, per bucket width.
 //!
 //! ```sh
-//! cargo run --release -p ltc-bench --bin table_scan                  # aos + soa
-//! cargo run --release -p ltc-bench --features simd --bin table_scan  # + simd lane
-//! LTC_SCALE=50 cargo run --release -p ltc-bench --bin table_scan     # quick look
+//! cargo run --release -p ltc-bench --bin table_scan                # aos + soa
+//! LTC_SCALE=50 cargo run --release -p ltc-bench --bin table_scan   # quick look
 //! ```
 //!
 //! Every record probes one bucket (find-match, then find-empty or
@@ -41,12 +40,6 @@
 //! * `aos_reference` — [`ReferenceLtc`], the faithful pre-refactor
 //!   array-of-structs table.
 //! * `soa` — [`Ltc`], the lane layout with autovectorized safe scans.
-//! * `soa_simd` — `Ltc` compiled with `--features simd` (explicit SSE4.1
-//!   find-match). The feature swaps the bucket-match implementation at
-//!   *compile time*, so the default build measures the first two and
-//!   writes the report with `soa_simd_mops: null`; the simd build then
-//!   re-measures its sweep and patches only the `soa_simd_mops` lane into
-//!   the existing report. Run the default build first.
 //!
 //! Writes `BENCH_table.json` (repo root), gated in CI by
 //! `cargo run -p xtask -- bench-compare`.
@@ -116,9 +109,6 @@ struct SweepPoint {
     /// `soa_mops / aos_reference_mops`, whose best reps may come from
     /// different noise windows (see [`measure_paired`]).
     soa_vs_aos: f64,
-    /// Struct-of-arrays with the explicit SSE4.1 find-match; null until
-    /// the simd build patches it in.
-    soa_simd_mops: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -131,16 +121,6 @@ struct Report {
 
 fn mops(records: usize, secs: f64) -> f64 {
     records as f64 / secs / 1e6
-}
-
-fn measure(records: usize, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    mops(records, best)
 }
 
 fn time(run: &mut impl FnMut()) -> f64 {
@@ -189,21 +169,6 @@ fn config(buckets: usize, d: usize, per_period: usize) -> LtcConfig {
         .build()
 }
 
-/// Batched ingest throughput of the SoA table (whatever bucket-match scan
-/// this binary was compiled with) at bucket width `d`.
-fn measure_soa(stream: &[u64], records: usize, per_period: usize, buckets: usize, d: usize) -> f64 {
-    measure(records, || {
-        let mut t = Ltc::new(config(buckets, d, per_period));
-        for period in stream.chunks(per_period) {
-            for chunk in period.chunks(BATCH) {
-                t.insert_batch(chunk);
-            }
-            t.end_period();
-        }
-        std::hint::black_box(&t);
-    })
-}
-
 fn main() {
     let s = scale() as usize;
     let records = (RECORDS / s).max(PERIODS);
@@ -215,11 +180,6 @@ fn main() {
          {total_cells} cells"
     );
     let stream = zipf_samples(records, distinct as u64, SKEW, 42);
-
-    if cfg!(feature = "simd") {
-        patch_simd_lane(&stream, records, per_period, total_cells);
-        return;
-    }
 
     let mut sweep = Vec::new();
     for d in D_SWEEP {
@@ -259,7 +219,6 @@ fn main() {
             aos_reference_mops,
             soa_mops,
             soa_vs_aos,
-            soa_simd_mops: None,
         });
     }
 
@@ -287,60 +246,5 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     std::fs::write(OUT_PATH, format!("{json}\n")).expect("write BENCH_table.json");
     eprintln!("[emit] wrote {OUT_PATH}");
-    println!("{json}");
-}
-
-/// simd build: measure only the SoA sweep (which *is* the simd scan in
-/// this binary) and patch `soa_simd_mops` into the report the default
-/// build wrote, leaving the aos/soa lanes untouched.
-fn patch_simd_lane(stream: &[u64], records: usize, per_period: usize, total_cells: usize) {
-    use serde::{Number, Value};
-    let text = std::fs::read_to_string(OUT_PATH).unwrap_or_else(|e| {
-        panic!("{OUT_PATH}: {e} — run the default build first (it writes the aos/soa lanes)")
-    });
-    let mut report: Value = serde_json::parse(&text).expect("valid report JSON");
-    let Value::Obj(fields) = &mut report else {
-        panic!("{OUT_PATH}: expected a JSON object");
-    };
-    let Some(Value::Arr(sweep)) = fields
-        .iter_mut()
-        .find(|(k, _)| k == "sweep")
-        .map(|(_, v)| v)
-    else {
-        panic!("{OUT_PATH}: report has no sweep array");
-    };
-    assert_eq!(
-        sweep.len(),
-        D_SWEEP.len(),
-        "sweep shape changed; rerun the default build"
-    );
-    for (point, d) in sweep.iter_mut().zip(D_SWEEP) {
-        let Value::Obj(entries) = point else {
-            panic!("{OUT_PATH}: sweep entries must be objects");
-        };
-        let recorded_d = entries
-            .iter()
-            .find(|(k, _)| k == "cells_per_bucket")
-            .and_then(|(_, v)| match v {
-                Value::Num(n) => Some(n.as_f64() as usize),
-                _ => None,
-            });
-        assert_eq!(
-            recorded_d,
-            Some(d),
-            "sweep shape changed; rerun the default build"
-        );
-        let buckets = (total_cells / d).max(1);
-        eprintln!("[run] d={d} ({buckets} buckets): soa+simd");
-        let m = measure_soa(stream, records, per_period, buckets, d);
-        eprintln!("       {m:.2} Mops");
-        match entries.iter_mut().find(|(k, _)| k == "soa_simd_mops") {
-            Some((_, slot)) => *slot = Value::Num(Number::F(m)),
-            None => entries.push(("soa_simd_mops".to_string(), Value::Num(Number::F(m)))),
-        }
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(OUT_PATH, format!("{json}\n")).expect("write BENCH_table.json");
-    eprintln!("[emit] patched soa_simd_mops into {OUT_PATH}");
     println!("{json}");
 }

@@ -1,5 +1,5 @@
 //! A single LTC cell: `⟨ID, frequency, persistency⟩` plus CLOCK flags — and
-//! the packed struct-of-arrays [`TableStore`] the table keeps them in.
+//! the packed struct-of-arrays `TableStore` the table keeps them in.
 //!
 //! The paper's persistency field is "a counter to store the estimated
 //! persistency and a flag bit" (two flag bits with the Deviation Eliminator).
@@ -21,8 +21,8 @@
 //! that below the AoS reference's ~3 lines per probe.
 //!
 //! [`Cell`] remains the *value* type — the unit of snapshots, merges and
-//! queries; [`TableStore::cell`] materialises one from the two words,
-//! [`TableStore::set_cell`] packs one back.
+//! queries; `TableStore::cell` materialises one from the two words,
+//! `TableStore::set_cell` packs one back.
 
 use ltc_common::{ItemId, Weights};
 
@@ -49,17 +49,13 @@ pub const PERSIST_MAX: u32 = (1 << 29) - 1;
 // bits 0..32   frequency  (u32, saturating)
 // bits 32..61  persistency (29 bits, saturating at PERSIST_MAX)
 // bits 61..64  flags: EVEN (61), ODD (62), OCCUPIED (63)
-//
-// OCCUPIED deliberately sits in the sign bit: the SIMD scan reads occupancy
-// of a whole meta vector with one `movemask`.
 
 const META_FREQ_MASK: u64 = u32::MAX as u64;
 const META_PERSIST_SHIFT: u32 = 32;
 const META_PERSIST_MASK: u64 = (PERSIST_MAX as u64) << META_PERSIST_SHIFT;
 const META_FLAG_SHIFT: u32 = 61;
-/// Occupancy bit of a packed meta word (bit 63) — `pub(crate)` for the
-/// `simd` module's movemask trick.
-pub(crate) const META_OCCUPIED: u64 = (FLAG_OCCUPIED as u64) << META_FLAG_SHIFT;
+/// Occupancy bit of a packed meta word (bit 63).
+const META_OCCUPIED: u64 = (FLAG_OCCUPIED as u64) << META_FLAG_SHIFT;
 
 /// The meta-word bit for the appearance flag of `parity` (0 = even).
 #[inline]
@@ -781,9 +777,7 @@ impl std::fmt::Debug for TableStore {
 /// Dispatching on the bucket width first gives the common widths a
 /// *compile-time* trip count, which LLVM flattens into straight-line
 /// compares and a mask reduction instead of a generic loop with a scalar
-/// epilogue. The `simd` feature's [`crate::simd`] module provides an
-/// explicit-intrinsics variant with identical semantics and uses this as
-/// its runtime fallback.
+/// epilogue.
 #[inline(always)]
 pub(crate) fn scan_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
     match (ids.len(), metas.len()) {

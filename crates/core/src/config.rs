@@ -124,7 +124,9 @@ impl LtcConfig {
 
 /// Supervision knobs for [`crate::pipeline::ParallelLtc`]: how hard the
 /// coordinator tries to revive a dead shard worker before degrading the
-/// shard to lossy, and how often workers checkpoint their shard state.
+/// shard to lossy. Workers capture their recovery checkpoint at every
+/// period boundary; records since the last capture are lost on a fault
+/// (and counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Worker restarts allowed per shard before it is marked lossy.
@@ -133,10 +135,6 @@ pub struct FaultPolicy {
     pub backoff_base: Duration,
     /// Cap on the exponential backoff.
     pub backoff_max: Duration,
-    /// Capture an in-memory recovery checkpoint every this many completed
-    /// periods (≥ 1). Restarted workers resume from the latest capture;
-    /// records since then are lost (and counted).
-    pub checkpoint_every_periods: u32,
 }
 
 impl Default for FaultPolicy {
@@ -145,7 +143,6 @@ impl Default for FaultPolicy {
             max_restarts: 3,
             backoff_base: Duration::from_millis(5),
             backoff_max: Duration::from_millis(500),
-            checkpoint_every_periods: 1,
         }
     }
 }
@@ -327,7 +324,6 @@ mod tests {
             max_restarts: 10,
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_millis(65),
-            checkpoint_every_periods: 1,
         };
         assert_eq!(policy.backoff_for(1), Duration::from_millis(10));
         assert_eq!(policy.backoff_for(2), Duration::from_millis(20));

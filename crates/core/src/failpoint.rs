@@ -4,11 +4,11 @@
 //! a fault: a panic in a worker loop, a short write or byte corruption in
 //! checkpoint I/O, a queue-full stall in the hand-off path. The facility is
 //! zero-dependency and **feature-gated**: without `--features failpoints`
-//! the [`fail_point!`] macro expands to nothing and [`io_fault`] is a
+//! the `fail_point!` macro expands to nothing and [`io_fault`] is a
 //! `const`-foldable `None`, so release builds carry no registry, no lock,
 //! and no branch.
 //!
-//! With the feature on, tests drive sites through [`configure`]:
+//! With the feature on, tests drive sites through `configure`:
 //!
 //! ```ignore
 //! failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
@@ -20,7 +20,7 @@
 //! `after` evaluations, then fire `times` times, then stay off. Evaluation
 //! counts are per-site and process-global, so tests that share site names
 //! must serialise (the fault-injection suite runs each scenario under a
-//! test-local guard and calls [`clear`] between scenarios).
+//! test-local guard and calls `clear` between scenarios).
 //!
 //! Sites are listed in `lint.toml` (`[failpoints] files`): the workspace
 //! linter forbids `fail_point!` / `failpoint::` usage outside the

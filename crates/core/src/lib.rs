@@ -66,12 +66,6 @@ pub mod pipeline;
 pub mod reference;
 pub mod sharded;
 pub(crate) mod shim;
-// Explicit `core::arch` bucket scans, compiled only with `--features simd`.
-// Like `spsc`, the module carries its own file-level `#![allow(unsafe_code)]`
-// with per-block SAFETY comments, and `cargo run -p xtask -- lint` pins
-// intrinsics and the allow to exactly the modules listed in lint.toml.
-#[cfg(feature = "simd")]
-pub mod simd;
 pub mod snapshot;
 pub mod spsc;
 pub mod stats;

@@ -10,7 +10,7 @@
 //!
 //! ## Shape
 //!
-//! A [`Tracer`] owns a fixed pool of [`SpanRing`]s. Each recording thread
+//! A [`Tracer`] owns a fixed pool of `SpanRing`s. Each recording thread
 //! claims one ring up front via [`Tracer::register`] and records through
 //! its [`TraceTrack`] handle — a ring is **single-writer** by convention
 //! (the claiming thread and its supervised replacements), so record-side
@@ -53,8 +53,8 @@ pub const DEFAULT_TRACKS: usize = 16;
 pub const DEFAULT_SPANS_PER_TRACK: usize = 2048;
 
 /// Stable span/track name codes. Codes (not strings) live in the ring
-/// slots so recording never allocates; [`span_name`] maps them back for
-/// export.
+/// slots so recording never allocates; [`span_name`](names::span_name)
+/// maps them back for export.
 pub mod names {
     /// Track: the routing/coordinator thread of a `ParallelLtc`.
     pub const TRACK_ROUTER: u64 = 1;

@@ -37,8 +37,7 @@
 //!
 //! 1. the dead worker is joined and its fault collected;
 //! 2. the shard table is rolled back to its **last checkpoint** — a
-//!    snapshot the worker captures at every period boundary (configurable
-//!    via [`FaultPolicy::checkpoint_every_periods`]);
+//!    snapshot the worker captures at every period boundary;
 //! 3. within the retry budget ([`FaultPolicy::max_restarts`]) a fresh
 //!    worker is spawned on a fresh queue after an exponential backoff, and
 //!    any barrier message still in flight is re-sent so the epoch
@@ -382,7 +381,6 @@ struct WorkerCtx {
     progress: Arc<Progress>,
     fault: Arc<Mutex<Option<WorkerFault>>>,
     last_good: Arc<Mutex<Vec<u8>>>,
-    checkpoint_every: u32,
     /// Wait-free metric handles for this shard (`None` = metrics off).
     obs: Option<ShardObs>,
     /// This shard's span ring (`None` = tracing off). Wait-free record
@@ -471,17 +469,26 @@ impl std::fmt::Debug for ParallelLtc {
 }
 
 /// Spawn a worker thread over `ctx`. Returns the fault (not a panic) if
-/// the OS refuses the thread, so supervision can degrade gracefully.
+/// the OS refuses the thread, so supervision can degrade gracefully. The
+/// `worker::spawn` failpoint's [`FailAction::Error`](crate::failpoint::FailAction::Error)
+/// stands in for that refusal.
 fn spawn_worker(ctx: WorkerCtx) -> Result<JoinHandle<()>, WorkerFault> {
     let shard_index = ctx.shard_index;
+    let spawn_failed = |message: String| WorkerFault {
+        shard: shard_index,
+        kind: FaultKind::SpawnFailed,
+        message,
+    };
+    #[cfg(feature = "failpoints")]
+    {
+        if let Some(crate::failpoint::FailAction::Error) = crate::failpoint::hit("worker::spawn") {
+            return Err(spawn_failed("failpoint: worker::spawn".to_string()));
+        }
+    }
     std::thread::Builder::new()
         .name(format!("ltc-shard-{shard_index}"))
         .spawn(move || worker_loop(&ctx))
-        .map_err(|e| WorkerFault {
-            shard: shard_index,
-            kind: FaultKind::SpawnFailed,
-            message: format!("spawn failed: {e}"),
-        })
+        .map_err(|e| spawn_failed(format!("spawn failed: {e}")))
 }
 
 /// Extract a readable message from a caught panic payload.
@@ -496,8 +503,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn worker_loop(ctx: &WorkerCtx) {
-    // Periods completed since the last checkpoint capture.
-    let mut epochs_since_checkpoint: u32 = 0;
     loop {
         let Some(msg) = ctx.queue.pop() else {
             // Poisoned and drained: the supervisor tore this lane down.
@@ -550,13 +555,9 @@ fn worker_loop(ctx: &WorkerCtx) {
                     fail_point!("worker::end_period");
                     let mut shard = lock_recover(&ctx.shard);
                     shard.end_period();
-                    epochs_since_checkpoint = epochs_since_checkpoint.saturating_add(1);
-                    if epochs_since_checkpoint >= ctx.checkpoint_every.max(1) {
-                        epochs_since_checkpoint = 0;
-                        let snapshot = shard.to_snapshot();
-                        drop(shard);
-                        *lock_recover(&ctx.last_good) = snapshot;
-                    }
+                    let snapshot = shard.to_snapshot();
+                    drop(shard);
+                    *lock_recover(&ctx.last_good) = snapshot;
                 }
                 Msg::Finish(_) => {
                     let mut shard = lock_recover(&ctx.shard);
@@ -661,13 +662,67 @@ fn fresh_ring(obs: Option<&ShardObs>) -> SpscRing<Msg> {
     }
 }
 
-/// Count + journal a shard's degradation to lossy mode.
-fn note_degradation(lane: &Lane, shard_index: usize, obs: Option<&RuntimeObs>) {
+/// Count + journal a worker fault, remembering its journal seq on the lane
+/// so health() can point at it.
+fn note_fault(lane: &mut Lane, fault: &WorkerFault, obs: Option<&RuntimeObs>) {
+    if let Some(o) = obs {
+        if let Some(seq) = o.note_fault(fault.shard as u64, fault.kind.name(), fault.kind.code()) {
+            lane.last_fault_seq = Some(seq);
+        }
+    }
+}
+
+/// Degrade a lane to lossy mode on its terminal `fault`: poison the queue
+/// so nothing more is handed to it, then count + journal the degradation.
+fn degrade(lane: &mut Lane, fault: WorkerFault, obs: Option<&RuntimeObs>) {
+    let shard_index = fault.shard;
+    lane.queue.poison();
+    lane.sent = 0;
+    lane.lossy = Some(fault);
     if let Some(shard_obs) = &lane.obs {
         shard_obs.degradations.inc();
     }
     if let Some(o) = obs {
         o.note_degradation(shard_index as u64, lane.records_lost);
+    }
+}
+
+/// Start a worker for `lane` on a fresh queue, barrier and fault slot,
+/// ingesting into `shard` from its current state. The one spawn path: the
+/// constructor, supervision and the post-restore revive all come here, so
+/// a refused spawn is handled the same way everywhere — journaled as the
+/// lane's fault, and the lane degraded to lossy. Returns whether a worker
+/// is running.
+fn start_worker(
+    lane: &mut Lane,
+    shard: &Arc<Mutex<Ltc>>,
+    shard_index: usize,
+    obs: Option<&RuntimeObs>,
+) -> bool {
+    lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
+    lane.progress = Arc::new(Progress::new());
+    lane.fault = Arc::new(Mutex::new(None));
+    lane.sent = 0;
+    let ctx = WorkerCtx {
+        shard_index,
+        queue: Arc::clone(&lane.queue),
+        shard: Arc::clone(shard),
+        progress: Arc::clone(&lane.progress),
+        fault: Arc::clone(&lane.fault),
+        last_good: Arc::clone(&lane.last_good),
+        obs: lane.obs.clone(),
+        trace: lane.trace.clone(),
+    };
+    match spawn_worker(ctx) {
+        Ok(handle) => {
+            lane.worker = Some(handle);
+            true
+        }
+        Err(fault) => {
+            note_fault(lane, &fault, obs);
+            degrade(lane, fault, obs);
+            false
+        }
     }
 }
 
@@ -701,11 +756,7 @@ fn supervise_lane(
         });
     // Observe the fault before acting on it, so the journal seq exists by
     // the time health() can report the new state.
-    if let Some(o) = obs {
-        if let Some(seq) = o.note_fault(shard_index as u64, fault.kind.name(), fault.kind.code()) {
-            lane.last_fault_seq = Some(seq);
-        }
-    }
+    note_fault(lane, &fault, obs);
     // 2. Salvage the backlog. These batches were never applied; they are
     //    part of the rollback loss, so count them. (Joining the worker
     //    first transferred the consumer role to this thread.)
@@ -732,10 +783,7 @@ fn supervise_lane(
     }
     // 4. Budget check: degrade to lossy once restarts are exhausted.
     if lane.restarts >= policy.max_restarts {
-        lane.queue.poison();
-        lane.sent = 0;
-        lane.lossy = Some(fault);
-        note_degradation(lane, shard_index, obs);
+        degrade(lane, fault, obs);
         return;
     }
     lane.restarts = lane.restarts.saturating_add(1);
@@ -746,38 +794,9 @@ fn supervise_lane(
     if !backoff.is_zero() {
         std::thread::sleep(backoff);
     }
-    // 5. Fresh channel, barrier and fault slot; respawn from the restored
-    //    shard state.
-    lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
-    lane.progress = Arc::new(Progress::new());
-    lane.fault = Arc::new(Mutex::new(None));
-    lane.sent = 0;
-    let ctx = WorkerCtx {
-        shard_index,
-        queue: Arc::clone(&lane.queue),
-        shard: Arc::clone(shard),
-        progress: Arc::clone(&lane.progress),
-        fault: Arc::clone(&lane.fault),
-        last_good: Arc::clone(&lane.last_good),
-        checkpoint_every: policy.checkpoint_every_periods,
-        obs: lane.obs.clone(),
-        trace: lane.trace.clone(),
-    };
-    match spawn_worker(ctx) {
-        Ok(handle) => lane.worker = Some(handle),
-        Err(fault) => {
-            if let Some(o) = obs {
-                if let Some(seq) =
-                    o.note_fault(shard_index as u64, fault.kind.name(), fault.kind.code())
-                {
-                    lane.last_fault_seq = Some(seq);
-                }
-            }
-            lane.queue.poison();
-            lane.lossy = Some(fault);
-            note_degradation(lane, shard_index, obs);
-            return;
-        }
+    // 5. Respawn from the restored shard state.
+    if !start_worker(lane, shard, shard_index, obs) {
+        return;
     }
     // 6. Re-send the barrier message still in flight so the epoch closes
     //    on the restored state.
@@ -792,12 +811,38 @@ fn supervise_lane(
     }
 }
 
+/// Wait for every live lane to ack everything sent, supervising lanes
+/// whose worker dies while we wait. `resend` is re-sent to a restarted
+/// worker so an in-flight barrier completes.
+fn wait_all(
+    lanes: &mut [Lane],
+    shards: &[Arc<Mutex<Ltc>>],
+    policy: &FaultPolicy,
+    resend: Option<Ctrl>,
+    obs: Option<&RuntimeObs>,
+) {
+    for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(shards) {
+        while lane.lossy.is_none() && lane.progress.wait_for(lane.sent).is_err() {
+            supervise_lane(lane, shard, shard_index, policy, resend, obs);
+        }
+    }
+}
+
+/// Statically exclusive access to the lanes (no runtime locking). Takes
+/// the field rather than `&mut self`, so callers can borrow the shard
+/// tables alongside.
+fn inner_mut(inner: &mut Mutex<Inner>) -> &mut Inner {
+    match inner.get_mut() {
+        Ok(inner) => inner,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 impl ParallelLtc {
     /// Spawn `num_shards` workers, each owning an LTC shard identical to
     /// shard `i` of `ShardedLtc::new(config, num_shards)`, under the
     /// default [`FaultPolicy`]. Workers receive batches over the
-    /// lock-free [`spsc`](crate::spsc) rings and probe their tables
-    /// through the [`simd`](crate::simd) scan.
+    /// lock-free [`spsc`](crate::spsc) rings.
     pub fn new(config: LtcConfig, num_shards: usize) -> Self {
         Self::with_batch_size(config, num_shards, DEFAULT_BATCH_SIZE)
     }
@@ -805,19 +850,17 @@ impl ParallelLtc {
     /// [`new`](ParallelLtc::new) with an explicit hand-off batch size.
     /// Larger batches amortise queue synchronisation further but delay when
     /// workers see records; [`DEFAULT_BATCH_SIZE`] suits most streams.
-    /// Spawns workers on the [`spsc`](crate::spsc) rings with
-    /// [`simd`](crate::simd)-probed shard tables.
+    /// Spawns workers on the [`spsc`](crate::spsc) rings.
     pub fn with_batch_size(config: LtcConfig, num_shards: usize, batch_size: usize) -> Self {
         Self::with_fault_policy(config, num_shards, batch_size, FaultPolicy::default())
     }
 
     /// Full-control constructor: explicit batch size and supervision
-    /// policy (retry budget, backoff, checkpoint cadence). Observability
-    /// is on (a fresh [`RuntimeObs`]); use
+    /// policy (retry budget, backoff). Observability is on (a fresh
+    /// [`RuntimeObs`]); use
     /// [`with_observability`](ParallelLtc::with_observability) to share a
     /// registry or to turn metrics off. Spawns workers on the
-    /// [`spsc`](crate::spsc) rings with [`simd`](crate::simd)-probed
-    /// shard tables.
+    /// [`spsc`](crate::spsc) rings.
     pub fn with_fault_policy(
         config: LtcConfig,
         num_shards: usize,
@@ -837,8 +880,7 @@ impl ParallelLtc {
     /// observability: pass a shared [`RuntimeObs`] to aggregate several
     /// runtimes into one registry, or `None` to run with metrics off (the
     /// mode the `obs_overhead` bench compares against). Spawns workers on
-    /// the [`spsc`](crate::spsc) rings with [`simd`](crate::simd)-probed
-    /// shard tables.
+    /// the [`spsc`](crate::spsc) rings.
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,
@@ -859,41 +901,30 @@ impl ParallelLtc {
             .enumerate()
             .map(|(i, shard)| {
                 let shard_obs = obs.as_ref().map(|o| o.shard(i as u64));
-                let lane_trace = tracer.as_ref().map(|t| t.register(names::TRACK_SHARD));
-                let queue = Arc::new(fresh_ring(shard_obs.as_ref()));
-                let progress = Arc::new(Progress::new());
-                let fault = Arc::new(Mutex::new(None));
-                // The initial checkpoint is the pristine shard: a worker
-                // that dies before its first period boundary rolls back
-                // to an empty (but correctly configured) table.
-                let last_good = Arc::new(Mutex::new(lock_recover(shard).to_snapshot()));
-                let ctx = WorkerCtx {
-                    shard_index: i,
-                    queue: Arc::clone(&queue),
-                    shard: Arc::clone(shard),
-                    progress: Arc::clone(&progress),
-                    fault: Arc::clone(&fault),
-                    last_good: Arc::clone(&last_good),
-                    checkpoint_every: policy.checkpoint_every_periods,
-                    obs: shard_obs.clone(),
-                    trace: lane_trace.clone(),
-                };
-                let worker = spawn_worker(ctx).expect("spawn shard worker"); // lint:allow(no_panic): startup-only, cannot be handled locally
-                Lane {
+                let mut lane = Lane {
                     pending: Vec::with_capacity(batch_size),
                     sent: 0,
-                    queue,
-                    progress,
-                    fault,
-                    last_good,
-                    worker: Some(worker),
+                    queue: Arc::new(fresh_ring(shard_obs.as_ref())),
+                    progress: Arc::new(Progress::new()),
+                    fault: Arc::new(Mutex::new(None)),
+                    // The initial checkpoint is the pristine shard: a worker
+                    // that dies before its first period boundary rolls back
+                    // to an empty (but correctly configured) table.
+                    last_good: Arc::new(Mutex::new(lock_recover(shard).to_snapshot())),
+                    worker: None,
                     restarts: 0,
                     lossy: None,
                     records_lost: 0,
                     obs: shard_obs,
-                    trace: lane_trace,
+                    trace: tracer.as_ref().map(|t| t.register(names::TRACK_SHARD)),
                     last_fault_seq: None,
+                };
+                start_worker(&mut lane, shard, i, obs.as_deref());
+                if let Some(fault) = &lane.lossy {
+                    // lint:allow(no_panic): startup-only, cannot be handled locally
+                    panic!("spawn shard worker: {fault}");
                 }
+                lane
             })
             .collect();
         let trace = tracer.as_ref().map(|t| RouterTrace {
@@ -942,8 +973,7 @@ impl ParallelLtc {
     /// before the call). Lossy shards contribute their last-good state.
     /// `periods` reports the stream's period count (see
     /// [`ShardedLtc::stats`]). The drain rides the [`spsc`](crate::spsc)
-    /// rings; restarted workers replay through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// rings.
     pub fn stats(&self) -> LtcStats {
         let _ = self.sync();
         let mut merged: LtcStats = self
@@ -958,20 +988,11 @@ impl ParallelLtc {
         merged
     }
 
-    /// Statically exclusive access to the lanes (no runtime locking).
-    fn inner_mut(&mut self) -> &mut Inner {
-        match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Route one record to its shard's pending batch; hand the batch off
     /// when it fills. The hot path: one shard hash, one push, no locks.
     /// A dead worker is supervised transparently; records routed to a
     /// lossy shard are dropped and counted. Hand-off goes over the
-    /// lock-free [`spsc`](crate::spsc) ring; the worker probes its table
-    /// through the [`simd`](crate::simd) scan.
+    /// lock-free [`spsc`](crate::spsc) ring.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
         let n = self.shards.len();
@@ -995,8 +1016,7 @@ impl ParallelLtc {
 
     /// Route a whole run of records — one routing pass, then per-shard
     /// hand-off of every batch that filled, over the
-    /// [`spsc`](crate::spsc) rings into the
-    /// [`simd`](crate::simd)-probed shard tables.
+    /// [`spsc`](crate::spsc) rings.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = self.shards.len();
         let batch_size = self.batch_size;
@@ -1024,14 +1044,13 @@ impl ParallelLtc {
     /// worker has acknowledged — the parallel stream sees the same period
     /// boundary on every shard. Worker deaths during the barrier are
     /// supervised (restart + re-send, or degradation). Control messages
-    /// ride the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// ride the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
     /// still closed on every live shard; the runtime stays usable).
     pub fn end_period(&mut self) -> Result<(), RuntimeError> {
-        let result = self.broadcast_and_wait(Ctrl::EndPeriod);
+        let result = self.barrier(Some(Ctrl::EndPeriod));
         // The period closed on every live shard even when some are lossy,
         // so the rollover is journalled in both cases.
         self.periods = self.periods.saturating_add(1);
@@ -1054,10 +1073,7 @@ impl ParallelLtc {
         let period = self.periods;
         let mut rollbacks = self.restores;
         let audit_span = {
-            let inner = match self.inner.get_mut() {
-                Ok(inner) => inner,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let inner = inner_mut(&mut self.inner);
             for lane in &inner.lanes {
                 rollbacks = rollbacks.saturating_add(u64::from(lane.restarts));
                 if lane.lossy.is_some() {
@@ -1082,58 +1098,24 @@ impl ParallelLtc {
 
     /// Flush + finalize every shard (harvest last-period CLOCK flags), with
     /// the same barrier semantics as [`end_period`](ParallelLtc::end_period)
-    /// — control over the [`spsc`](crate::spsc) rings, replay through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// — control over the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
     pub fn finish(&mut self) -> Result<(), RuntimeError> {
-        self.broadcast_and_wait(Ctrl::Finish)
+        self.barrier(Some(Ctrl::Finish))
     }
 
     /// Drain the pipeline: flush pending batches and wait until every live
     /// worker has processed everything sent. Queries call this first.
-    /// Flushing pushes onto the [`spsc`](crate::spsc) rings; restarted
-    /// workers replay through the [`simd`](crate::simd)-probed tables.
+    /// Flushing pushes onto the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy — the drain
     /// itself still completed on every live shard, so degraded queries may
     /// proceed (the trait impls do exactly that).
     pub fn sync(&self) -> Result<(), RuntimeError> {
-        let mut inner = lock_recover(&self.inner);
-        let Inner { lanes, trace } = &mut *inner;
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            if let Some(shard) = self.shards.get(shard_index) {
-                if !flush_lane(lane, self.batch_size, trace.as_mut()) {
-                    supervise_lane(
-                        lane,
-                        shard,
-                        shard_index,
-                        &self.policy,
-                        None,
-                        self.obs.as_deref(),
-                    );
-                }
-            }
-        }
-        // The barrier span parents under the most recent enqueue, so the
-        // drained batch's tree contains the wait that drained it.
-        let barrier = trace
-            .as_ref()
-            .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
-        let start = self.obs.as_ref().map(|_| Instant::now());
-        self.wait_all(lanes, None);
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
-            obs.barrier_wait_ns.record(elapsed_ns(start));
-        }
-        if let Some((track, pending)) = barrier {
-            track.finish(&pending, names::BARRIER_WAIT);
-            if let Some(t) = trace.as_mut() {
-                t.last_barrier = Some(pending.ctx);
-            }
-        }
-        runtime_result(lanes)
+        self.barrier(None)
     }
 
     /// Per-shard supervision state: restarts consumed, records lost, the
@@ -1161,143 +1143,58 @@ impl ParallelLtc {
             .collect()
     }
 
-    /// Wait for every live lane to ack everything sent, supervising lanes
-    /// whose worker dies while we wait. `resend` is re-broadcast to a
-    /// restarted worker so an in-flight barrier completes.
-    fn wait_all(&self, lanes: &mut [Lane], resend: Option<Ctrl>) {
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = self.shards.get(shard_index) else {
-                continue;
-            };
-            loop {
-                if lane.lossy.is_some() {
-                    break;
-                }
-                let target = lane.sent;
-                match lane.progress.wait_for(target) {
-                    Ok(()) => break,
-                    Err(BarrierPoisoned) => {
-                        supervise_lane(
-                            lane,
-                            shard,
-                            shard_index,
-                            &self.policy,
-                            resend,
-                            self.obs.as_deref(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flush, enqueue a control message on every live queue, and wait for
-    /// full acknowledgment (supervising any deaths along the way). The
-    /// barrier's `barrier_wait` span opens after the flush pass (parented
-    /// under the last `batch_enqueue`, so the batch's tree contains it),
-    /// ships its context inside the control messages, and closes once
-    /// every worker has acknowledged.
-    fn broadcast_and_wait(&mut self, ctrl: Ctrl) -> Result<(), RuntimeError> {
-        let policy = self.policy;
-        let batch_size = self.batch_size;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
+    /// The epoch barrier behind [`sync`](ParallelLtc::sync) and every
+    /// broadcast: flush each lane's pending batch, enqueue `ctrl` (if any)
+    /// on every live queue, and wait until every live worker has processed
+    /// everything sent, supervising deaths along the way. The
+    /// `barrier_wait` span opens after the flush pass (parented under the
+    /// last `batch_enqueue`, so the drained batch's tree contains the wait
+    /// that drained it), ships its context inside the control messages,
+    /// and closes once every worker has acknowledged.
+    fn barrier(&self, ctrl: Option<Ctrl>) -> Result<(), RuntimeError> {
+        let obs = self.obs.as_deref();
+        let mut inner = lock_recover(&self.inner);
+        let Inner { lanes, trace } = &mut *inner;
         // Pass 1: flush every lane's pending batch.
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            if !flush_lane(lane, batch_size, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
+        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
+            if !flush_lane(lane, self.batch_size, trace.as_mut()) {
+                supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
             }
         }
-        // The barrier span covers enqueueing the control messages and the
-        // wait for acknowledgment.
         let barrier = trace
             .as_ref()
             .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
-        let barrier_ctx = barrier.as_ref().map(|(_, p)| p.ctx);
         // Pass 2: enqueue the control message on every live queue.
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            if lane.lossy.is_some() {
-                continue;
-            }
-            lane.sent = lane.sent.saturating_add(1);
-            if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
-                supervise_lane(
-                    lane,
-                    shard,
-                    shard_index,
-                    &policy,
-                    Some(ctrl),
-                    obs.as_deref(),
-                );
+        if let Some(ctrl) = ctrl {
+            let barrier_ctx = barrier.as_ref().map(|(_, p)| p.ctx);
+            for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
+                if lane.lossy.is_some() {
+                    continue;
+                }
+                lane.sent = lane.sent.saturating_add(1);
+                if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
+                    supervise_lane(lane, shard, shard_index, &self.policy, Some(ctrl), obs);
+                }
             }
         }
-        let start = obs.as_ref().map(|_| Instant::now());
-        self.wait_all_mut(ctrl);
-        if let (Some(obs), Some(start)) = (&obs, start) {
+        let start = obs.map(|_| Instant::now());
+        wait_all(lanes, &self.shards, &self.policy, ctrl, obs);
+        if let (Some(obs), Some(start)) = (obs, start) {
             obs.barrier_wait_ns.record(elapsed_ns(start));
         }
-        let inner = self.inner_mut();
         if let Some((track, pending)) = barrier {
             track.finish(&pending, names::BARRIER_WAIT);
-            if let Some(t) = inner.trace.as_mut() {
+            if let Some(t) = trace.as_mut() {
                 t.last_barrier = Some(pending.ctx);
             }
         }
-        runtime_result(&inner.lanes)
-    }
-
-    /// `wait_all` over `&mut self` (avoids borrowing `self.shards` and
-    /// `self.inner` through the same reference).
-    fn wait_all_mut(&mut self, ctrl: Ctrl) {
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for (shard_index, lane) in inner.lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            loop {
-                if lane.lossy.is_some() {
-                    break;
-                }
-                let target = lane.sent;
-                match lane.progress.wait_for(target) {
-                    Ok(()) => break,
-                    Err(BarrierPoisoned) => {
-                        supervise_lane(
-                            lane,
-                            shard,
-                            shard_index,
-                            &policy,
-                            Some(ctrl),
-                            obs.as_deref(),
-                        );
-                    }
-                }
-            }
-        }
+        runtime_result(lanes)
     }
 
     /// Stop the workers (after draining everything queued) and reassemble
     /// the shards into a single-threaded [`ShardedLtc`] for further use —
     /// the inverse of spinning the runtime up. The shutdown barrier rides
-    /// the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard degraded to lossy; use
@@ -1315,11 +1212,10 @@ impl ParallelLtc {
     /// [`into_sharded`](ParallelLtc::into_sharded) that always returns the
     /// tables: lossy shards contribute their last-good (rolled-back)
     /// state, and their terminal faults ride along. The shutdown barrier
-    /// rides the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// rides the [`spsc`](crate::spsc) rings.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
-        let _ = self.broadcast_and_wait(Ctrl::Shutdown);
-        let inner = self.inner_mut();
+        let _ = self.barrier(Some(Ctrl::Shutdown));
+        let inner = inner_mut(&mut self.inner);
         let mut faults = Vec::new();
         for lane in &mut inner.lanes {
             if let Some(handle) = lane.worker.take() {
@@ -1345,8 +1241,7 @@ impl ParallelLtc {
     }
 
     /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// estimate `id`'s significance via the [`simd`](crate::simd)-probed
-    /// tables.
+    /// estimate `id`'s significance.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort
@@ -1357,8 +1252,7 @@ impl ParallelLtc {
     }
 
     /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// merge the global top-k from the [`simd`](crate::simd)-probed
-    /// tables.
+    /// merge the global top-k.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort
@@ -1403,58 +1297,20 @@ impl ParallelLtc {
     /// After a checkpoint restore rewrote every shard table: refresh each
     /// lane's last-good snapshot to the restored state so a future
     /// rollback lands on it, and revive lossy lanes with a fresh worker
-    /// and a full retry budget (the operator restored on purpose).
+    /// and a full retry budget (the operator restored on purpose). A
+    /// refused spawn degrades the lane again, as supervision would.
     pub(crate) fn reset_after_restore(&mut self) {
         self.restores = self.restores.saturating_add(1);
-        let policy = self.policy;
-        let batch_size = self.batch_size;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for (shard_index, lane) in inner.lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
+        let obs = self.obs.as_deref();
+        let lanes = &mut inner_mut(&mut self.inner).lanes;
+        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
             *lock_recover(&lane.last_good) = lock_recover(shard).to_snapshot();
             lane.restarts = 0;
             lane.records_lost = 0;
             lane.last_fault_seq = None;
-            lane.pending = Vec::with_capacity(batch_size);
+            lane.pending = Vec::with_capacity(self.batch_size);
             if lane.lossy.take().is_some() {
-                lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
-                lane.progress = Arc::new(Progress::new());
-                lane.fault = Arc::new(Mutex::new(None));
-                lane.sent = 0;
-                let ctx = WorkerCtx {
-                    shard_index,
-                    queue: Arc::clone(&lane.queue),
-                    shard: Arc::clone(shard),
-                    progress: Arc::clone(&lane.progress),
-                    fault: Arc::clone(&lane.fault),
-                    last_good: Arc::clone(&lane.last_good),
-                    checkpoint_every: policy.checkpoint_every_periods,
-                    obs: lane.obs.clone(),
-                    trace: lane.trace.clone(),
-                };
-                match spawn_worker(ctx) {
-                    Ok(handle) => lane.worker = Some(handle),
-                    Err(fault) => {
-                        if let Some(o) = &obs {
-                            if let Some(seq) = o.note_fault(
-                                shard_index as u64,
-                                fault.kind.name(),
-                                fault.kind.code(),
-                            ) {
-                                lane.last_fault_seq = Some(seq);
-                            }
-                        }
-                        lane.queue.poison();
-                        lane.lossy = Some(fault);
-                    }
-                }
+                start_worker(lane, shard, shard_index, obs);
             }
         }
     }
@@ -1475,10 +1331,7 @@ impl Drop for ParallelLtc {
         // `into_sharded_lossy` already drained and joined (lanes emptied of
         // workers); otherwise stop cleanly without asserting — a dead
         // worker's queue refuses the message, which is fine.
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let inner = inner_mut(&mut self.inner);
         for lane in &mut inner.lanes {
             if lane.worker.is_some() {
                 let _ = lane.queue.push(Msg::Shutdown);

@@ -6,8 +6,8 @@
 //! 1. **Differential testing.** The property suite
 //!    (`tests/soa_equivalence.rs`) drives this table and [`crate::Ltc`]
 //!    with identical streams and requires identical top-k, estimates, and
-//!    snapshot bytes. Any semantic drift introduced by the lane layout (or
-//!    by the optional `simd` scan) fails loudly.
+//!    snapshot bytes. Any semantic drift introduced by the lane layout
+//!    fails loudly.
 //! 2. **Benchmark baseline.** The `table_scan` microbench measures
 //!    bucket-probe throughput of this layout against the SoA table
 //!    (`BENCH_table.json`), so the layout's win is a number, not a claim.

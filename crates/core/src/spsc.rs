@@ -39,10 +39,10 @@
 //! ## Poisoning (worker-death path)
 //!
 //! A consumer that dies (shard-worker panic) would otherwise strand a
-//! producer blocked in [`push`](SpscRing::push) forever. [`poison`]
-//! (SpscRing::poison) marks the ring dead and wakes both sides: `push`
-//! then refuses the item (returning `false`) and `pop` returns `None` once
-//! the queued backlog is gone. The supervisor can salvage that backlog
+//! producer blocked in [`push`](SpscRing::push) forever.
+//! [`poison`](SpscRing::poison) marks the ring dead and wakes both sides:
+//! `push` then refuses the item (returning `false`) and `pop` returns
+//! `None` once the queued backlog is gone. The supervisor can salvage that backlog
 //! with [`drain`](SpscRing::drain) *after* joining the dead consumer —
 //! sequencing that keeps the single-consumer contract intact.
 
@@ -60,9 +60,10 @@ use std::mem::MaybeUninit;
 /// Seeded-weakening seams for the loom refutation tests
 /// (`tests/loom_weakening.rs`).
 ///
-/// Each [`Point`] names one ordering-critical store in the ring protocol.
-/// In production builds [`publish`] is a compile-time identity — the
-/// declared `Ordering` token stays in the call site, so the static
+/// Each [`Point`](seam::Point) names one ordering-critical store in the
+/// ring protocol. In production builds [`publish`](seam::publish) is a
+/// compile-time identity — the declared `Ordering` token stays in the
+/// call site, so the static
 /// `ordering_protocol` lint still checks the real ordering. Under
 /// `--features loom-check` a test can *demote* a point to `Release`,
 /// seeding exactly the ordering bug the weak-memory explorer must refute

@@ -1,6 +1,6 @@
 //! The LTC lossy table (paper §III).
 //!
-//! Storage is the bucket-tiled, packed struct-of-arrays [`TableStore`]:
+//! Storage is the bucket-tiled, packed struct-of-arrays `TableStore`:
 //! each bucket is one contiguous tile of `d` id words and `d` packed
 //! `⟨freq, persist, flags⟩` meta words — 16 bytes per cell, the paper's
 //! memory model, in one cache-line-friendly region. The three hot probes —
@@ -11,7 +11,7 @@
 //! [`crate::reference`] and a property suite pins this table bit-exact
 //! against it.
 
-use crate::cell::{scan_empty, scan_min, Cell, TableStore};
+use crate::cell::{scan_empty, scan_match, scan_min, Cell, TableStore};
 use crate::clock::ClockPointer;
 use crate::config::{LtcConfig, PeriodMode};
 use crate::stats::LtcStats;
@@ -109,10 +109,6 @@ impl Ltc {
 
     /// Insert one record (count-driven mode).
     ///
-    /// Bucket probing dispatches through the [`simd`](crate::simd)
-    /// vectorized scan when that feature is enabled (safe scalar
-    /// fallback otherwise).
-    ///
     /// # Panics
     /// Panics if the table was configured time-driven; use
     /// [`insert_at`](Ltc::insert_at) there.
@@ -138,16 +134,13 @@ impl Ltc {
     ///    bucket bases, so the hash pipeline is not interleaved with
     ///    table writes;
     /// 2. each bucket's first cell is touched a few records ahead of its
-    ///    use ([`Self::prefetch_bucket`]), hiding the random-access cache
+    ///    use (`Self::prefetch_bucket`), hiding the random-access cache
     ///    miss behind the current record's work;
     /// 3. CLOCK pointer stepping is amortised: the pointer's accumulator
     ///    tells us how many records can be processed before the next scan
     ///    fires ([`ClockPointer::ticks_before_scan`]), so those records run
     ///    in a tight scan-free loop and the accumulator is advanced once
     ///    for the whole run.
-    ///
-    /// Bucket probing dispatches through the [`simd`](crate::simd)
-    /// vectorized scan when that feature is enabled.
     ///
     /// # Panics
     /// Panics if the table was configured time-driven; use
@@ -223,9 +216,7 @@ impl Ltc {
     /// twin of [`insert_at`](Ltc::insert_at). Bit-identical to inserting the
     /// pairs one by one; the batch gains come from up-front hashing and
     /// bucket prefetch (CLOCK stepping in time-driven mode is already
-    /// amortised per record by the division-based tick). Bucket probing
-    /// dispatches through the [`simd`](crate::simd) vectorized scan when
-    /// that feature is enabled.
+    /// amortised per record by the division-based tick).
     ///
     /// # Panics
     /// Panics if the table was configured count-driven.
@@ -285,8 +276,7 @@ impl Ltc {
 
     /// Insert one record with a timestamp (time-driven mode). Periods roll
     /// over automatically when `time` crosses a boundary; timestamps must be
-    /// non-decreasing. Bucket probing dispatches through the
-    /// [`simd`](crate::simd) vectorized scan when that feature is enabled.
+    /// non-decreasing.
     ///
     /// # Panics
     /// Panics if the table was configured count-driven.
@@ -356,22 +346,18 @@ impl Ltc {
         self.stats.harvests = self.stats.harvests.saturating_add(harvested);
     }
 
-    /// Whether `id` currently occupies a cell. The lookup probes through
-    /// the [`simd`](crate::simd) bucket scan when that feature is enabled.
+    /// Whether `id` currently occupies a cell.
     pub fn contains(&self, id: ItemId) -> bool {
         self.find_slot(id).is_some()
     }
 
-    /// Estimated frequency of `id`, if tracked. The lookup probes through
-    /// the [`simd`](crate::simd) bucket scan when that feature is enabled.
+    /// Estimated frequency of `id`, if tracked.
     pub fn frequency_of(&self, id: ItemId) -> Option<u64> {
         self.find_slot(id)
             .map(|i| u64::from(self.store.cell(i).freq))
     }
 
-    /// Estimated persistency of `id`, if tracked. The lookup probes
-    /// through the [`simd`](crate::simd) bucket scan when that feature is
-    /// enabled.
+    /// Estimated persistency of `id`, if tracked.
     pub fn persistency_of(&self, id: ItemId) -> Option<u64> {
         self.find_slot(id)
             .map(|i| u64::from(self.store.cell(i).persist))
@@ -399,7 +385,7 @@ impl Ltc {
     fn find_slot(&self, id: ItemId) -> Option<usize> {
         let bucket = self.bucket_index(id);
         let (ids, metas) = self.store.lanes(self.store.tile_base(bucket));
-        bucket_match(ids, metas, id).map(|k| {
+        scan_match(ids, metas, id).map(|k| {
             bucket
                 .saturating_mul(self.config.cells_per_bucket)
                 .saturating_add(k)
@@ -458,7 +444,7 @@ impl Ltc {
         self.store.dirty_bucket_count()
     }
 
-    /// Open a new dirty epoch: subsequent [`Ltc::dirty_buckets`] calls
+    /// Open a new dirty epoch: subsequent `Ltc::dirty_buckets` calls
     /// report only buckets mutated from this point on. Call right after
     /// taking the snapshot the next delta will be relative to.
     pub fn begin_delta_epoch(&mut self) {
@@ -760,7 +746,7 @@ enum Probe {
 /// find-min-significance float math only runs for a full-bucket miss.
 #[inline(always)]
 fn probe_tile(ids: &[ItemId], metas: &[u64], id: ItemId, weights: &Weights) -> Probe {
-    if let Some(k) = bucket_match(ids, metas, id) {
+    if let Some(k) = scan_match(ids, metas, id) {
         return Probe::Hit(k);
     }
     if let Some(k) = scan_empty(metas) {
@@ -795,24 +781,6 @@ fn probe_tile_fixed<const D: usize>(
         (Ok(ids), Ok(metas)) => probe_tile(ids.as_slice(), metas.as_slice(), id, weights),
         _ => probe_tile_runtime(ids, metas, id, weights),
     }
-}
-
-/// Find `id`'s slot within one bucket's id/meta lanes. The default build
-/// uses the safe autovectorized scan; the `simd` feature swaps in explicit
-/// `core::arch` intrinsics with an identical contract (a property suite
-/// pins the two bit-exact).
-#[cfg(not(feature = "simd"))]
-#[inline(always)]
-fn bucket_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
-    crate::cell::scan_match(ids, metas, id)
-}
-
-/// `simd`-feature twin of the safe [`bucket_match`]: dispatches to the
-/// intrinsics module, which itself falls back to the safe scan off x86-64.
-#[cfg(feature = "simd")]
-#[inline]
-fn bucket_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
-    crate::simd::find_match(ids, metas, id)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! Windows are capped at 64 periods by the bitmap width — enough for
 //! "last hour of minutes" or "last two months of days" dashboards.
 //!
-//! Storage follows the main table's struct-of-arrays layout ([`WinStore`]):
+//! Storage follows the main table's struct-of-arrays layout (`WinStore`):
 //! one lane per field, bucket-major. The find-match probe touches only the
 //! id and occupancy lanes, and the period-boundary aging (bitmap shift,
 //! frequency scaling) runs as unconditional whole-lane passes — empty slots

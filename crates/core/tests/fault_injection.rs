@@ -1,9 +1,10 @@
 //! Deterministic fault-injection suite: drives the named failpoints in the
-//! runtime (`worker::batch`, `worker::end_period`, `checkpoint::write`,
-//! `spsc::push`) to prove every recovery path end to end — worker panic →
-//! supervised restart from the last checkpoint; restart budget exhaustion →
-//! lossy degradation with live queries; torn/corrupted checkpoint write →
-//! generation fallback on restore. Zero process aborts anywhere.
+//! runtime (`worker::batch`, `worker::end_period`, `worker::spawn`,
+//! `checkpoint::write`, `spsc::push`) to prove every recovery path end to
+//! end — worker panic → supervised restart from the last checkpoint;
+//! restart budget exhaustion or a refused spawn → lossy degradation with
+//! live queries; torn/corrupted checkpoint write → generation fallback on
+//! restore. Zero process aborts anywhere.
 //!
 //! Run with: `cargo test -p ltc-core --features failpoints --test fault_injection`
 //!
@@ -16,9 +17,9 @@ use ltc_core::checkpoint::Checkpointer;
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::obs::EventKind;
 use ltc_core::pipeline::ShardHealth;
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, ShardedLtc, SpscRing};
+use ltc_core::{FaultKind, FaultPolicy, LtcConfig, ParallelLtc, RuntimeObs, ShardedLtc, SpscRing};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The failpoint registry is process-global, so scenarios must not
 /// interleave: every test body runs under this guard and starts/ends with
@@ -338,6 +339,70 @@ fn restore_after_degradation_revives_lossy_shards() {
     p.end_period().expect("healthy again");
     p.finish().expect("healthy again");
     assert!(p.try_estimate(0).expect("healthy").is_some());
+}
+
+#[test]
+fn restore_whose_revive_spawn_fails_degrades_the_shard_again() {
+    // Same operator story, but the OS refuses the revived worker's thread:
+    // the shard must go lossy again the way supervision degrades one —
+    // typed fault, journaled degradation, counted degradation.
+    let _guard = scenario();
+    let scratch = ScratchDir::new("revive-spawn");
+    let store = Checkpointer::new(scratch.path()).unwrap();
+    let policy = FaultPolicy {
+        max_restarts: 1,
+        ..FaultPolicy::no_backoff()
+    };
+    let mut p = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
+    for i in 0..200u64 {
+        p.insert(i % 20);
+    }
+    p.end_period().expect("healthy runtime");
+    p.checkpoint_to(&store).expect("good checkpoint");
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::always());
+    for _ in 0..20 {
+        for i in 0..200u64 {
+            p.insert(i % 20);
+        }
+        if p.end_period().is_err() {
+            break;
+        }
+    }
+    failpoint::clear();
+    let shard = p
+        .health()
+        .iter()
+        .position(|h| matches!(h, ShardHealth::Lossy { .. }))
+        .expect("degraded as arranged");
+    let obs = Arc::clone(p.obs().expect("obs on by default"));
+    let degradations = |obs: &RuntimeObs| -> u64 {
+        let series = format!("ltc_worker_degradations_total{{shard=\"{shard}\"}} ");
+        let text = obs.render_prometheus();
+        text.lines()
+            .find_map(|l| l.strip_prefix(series.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0)
+    };
+    let before = degradations(&obs);
+    let _ = obs.journal().drain();
+
+    // The first (and only) revive spawn is refused.
+    failpoint::configure("worker::spawn", FailAction::Error, FireSpec::once());
+    p.restore_from(&store).expect("the restore itself succeeds");
+    failpoint::clear();
+
+    match &p.health()[shard] {
+        ShardHealth::Lossy { fault, .. } => assert_eq!(fault.kind, FaultKind::SpawnFailed),
+        other => panic!("shard {shard} should be lossy after a refused spawn: {other:?}"),
+    }
+    let events = obs.journal().drain();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == EventKind::Degradation && e.shard == Some(shard as u64)),
+        "degradation journaled after the restore: {events:?}"
+    );
+    assert_eq!(degradations(&obs), before + 1, "degradation counted");
 }
 
 // ---------------------------------------------------------------------------

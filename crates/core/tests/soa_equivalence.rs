@@ -7,8 +7,7 @@
 //! proof that none of that changed a single observable bit: identical
 //! streams must yield identical top-k, estimates, per-item counters, and
 //! byte-identical `LTC1` snapshots — mid-period (pending flags in the lane)
-//! as well as at period boundaries. Built with `--features simd`, the same
-//! properties pin the `core::arch` scan too.
+//! as well as at period boundaries.
 
 use ltc_common::Weights;
 use ltc_core::reference::ReferenceLtc;

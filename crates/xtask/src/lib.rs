@@ -5,7 +5,7 @@
 //! silently. The analysis is **syntax-aware**, not lexical: a
 //! zero-dependency Rust tokenizer ([`lexer`]) feeds a brace-matched
 //! token tree ([`tokentree`]) with per-token spans; `#[cfg(...)]`
-//! attributes are genuinely evaluated ([`cfg`] — `test` is false,
+//! attributes are genuinely evaluated ([`mod@cfg`] — `test` is false,
 //! features are unknown, only a definitively-false predicate exempts
 //! its item); and every rule ([`rules`]) pattern-matches *code tokens*,
 //! so nothing hidden in strings, comments or macros-as-text can fire or
@@ -128,9 +128,6 @@ pub struct Config {
     pub skip: Vec<String>,
     /// Files allowed to contain `unsafe`.
     pub unsafe_allow: Vec<String>,
-    /// Modules allowed to name `core::arch`/`std::arch` and carry a
-    /// file-level `allow(unsafe_code)` (simd_gate rule).
-    pub simd_allow: Vec<String>,
     /// Hot-path files subject to no_panic / no_index / counter_arith.
     pub hot_path: Vec<String>,
     /// Counter field names checked by counter_arith.
@@ -185,7 +182,6 @@ impl Config {
 const SCHEMA: &[(&str, &[&str])] = &[
     ("paths", &["roots", "skip"]),
     ("unsafe_code", &["allow"]),
-    ("simd", &["modules"]),
     ("hot_path", &["files"]),
     ("counters", &["fields"]),
     ("orderings", &["no_relaxed_files", "protocol_files"]),
@@ -287,7 +283,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
             ("paths", "roots") => config.roots = values,
             ("paths", "skip") => config.skip = values,
             ("unsafe_code", "allow") => config.unsafe_allow = values,
-            ("simd", "modules") => config.simd_allow = values,
             ("hot_path", "files") => config.hot_path = values,
             ("counters", "fields") => config.counter_fields = values,
             ("orderings", "no_relaxed_files") => config.no_relaxed_files = values,
@@ -347,7 +342,6 @@ pub fn validate_config_paths(config: &Config, root: &Path) -> Result<(), String>
     }
     let file_lists: &[(&str, &[String])] = &[
         ("[unsafe_code] allow", &config.unsafe_allow),
-        ("[simd] modules", &config.simd_allow),
         ("[hot_path] files", &config.hot_path),
         ("[orderings] no_relaxed_files", &config.no_relaxed_files),
         ("[orderings] protocol_files", &config.protocol_files),

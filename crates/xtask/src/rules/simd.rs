@@ -1,51 +1,43 @@
-//! `simd_gate`: explicit SIMD stays quarantined.
+//! `simd_gate`: no explicit SIMD, no local unsafe override.
 //!
-//! Two patterns are restricted to the modules listed in `[simd] modules`
-//! (lint.toml):
+//! Two patterns fail the lint:
 //!
-//! * `core::arch` / `std::arch` paths — naming an intrinsic module
-//!   anywhere else means vector code is leaking out of the gated,
-//!   runtime-detected scan module.
+//! * `core::arch` / `std::arch` paths, in any linted file. The bucket
+//!   scans are written so LLVM autovectorizes them
+//!   (`ltc_core::cell::scan_match`); an explicit SSE4.1 find-match was
+//!   measured against that scan and lost at every bucket width, so vector
+//!   intrinsics have no home in the workspace.
 //! * `allow(unsafe_code)` — the file-level escape hatch from the crate's
-//!   `#![deny(unsafe_code)]`. It is additionally permitted in the
-//!   `[unsafe_code] allow` files (the SPSC ring), since those files hold
-//!   their own file-level allow; anywhere else it would silently widen
-//!   the unsafe surface without tripping `unsafe_allowlist` until real
-//!   `unsafe` tokens appear.
+//!   `#![deny(unsafe_code)]` — outside the `[unsafe_code] allow` files
+//!   (the SPSC ring), which hold their own file-level allow. Anywhere
+//!   else it would silently widen the unsafe surface without tripping
+//!   `unsafe_allowlist` until real `unsafe` tokens appear.
 //!
-//! Deliberately not waivable: like `unsafe_allowlist`, the config list
-//! *is* the waiver mechanism.
+//! Deliberately not waivable: like `unsafe_allowlist`, the unsafe
+//! allowlist in lint.toml is the only escape hatch.
 
 use super::{ident_at, listed, path_at, push_at, Finding};
 use crate::{Config, FileAnalysis};
 
 pub fn check(fa: &FileAnalysis, config: &Config, out: &mut Vec<Finding>) {
-    let simd_listed = listed(&config.simd_allow, &fa.rel);
     let unsafe_listed = listed(&config.unsafe_allow, &fa.rel);
     for pos in 0..fa.code.len() {
-        // Arch-intrinsic paths. No exempt_at: a cfg-gated intrinsic in the
-        // wrong file is still vector code in the wrong file.
-        if !simd_listed
-            && (path_at(fa, pos, &["core", "::", "arch"])
-                || path_at(fa, pos, &["std", "::", "arch"]))
-        {
+        // Arch-intrinsic paths. No exempt_at: a cfg-gated intrinsic is
+        // still explicit vector code.
+        if path_at(fa, pos, &["core", "::", "arch"]) || path_at(fa, pos, &["std", "::", "arch"]) {
             push_at(
                 fa,
                 out,
                 pos,
                 "simd_gate",
-                format!(
-                    "arch intrinsics outside the simd modules ({}); keep explicit \
-                     vector code in the gated scan module or extend `[simd] modules` \
-                     in lint.toml",
-                    join_or_none(&config.simd_allow)
-                ),
+                "arch intrinsics in the workspace; write the scan so it \
+                 autovectorizes instead (see `cell::scan_match`)"
+                    .to_string(),
             );
         }
         // `allow ( unsafe_code )` — both `#![allow(...)]` and `#[allow(...)]`
         // reduce to this token run once delimiters are individual tokens.
-        if !simd_listed
-            && !unsafe_listed
+        if !unsafe_listed
             && ident_at(fa, pos) == Some("allow")
             && path_at(fa, pos.saturating_add(1), &["(", "unsafe_code", ")"])
         {
@@ -54,18 +46,10 @@ pub fn check(fa: &FileAnalysis, config: &Config, out: &mut Vec<Finding>) {
                 out,
                 pos,
                 "simd_gate",
-                "`allow(unsafe_code)` outside the unsafe/simd allowlists; the crate-level \
-                 `deny(unsafe_code)` must not be overridden elsewhere"
+                "`allow(unsafe_code)` outside the `[unsafe_code] allow` files; the \
+                 crate-level `deny(unsafe_code)` must not be overridden elsewhere"
                     .to_string(),
             );
         }
-    }
-}
-
-fn join_or_none(list: &[String]) -> String {
-    if list.is_empty() {
-        "<none configured>".to_string()
-    } else {
-        list.join(", ")
     }
 }

@@ -12,7 +12,6 @@ fn everything_config(rel: &str) -> Config {
         roots: vec!["src".to_string()],
         skip: vec![],
         unsafe_allow: vec![],
-        simd_allow: vec![],
         hot_path: vec![rel.to_string()],
         counter_fields: vec!["freq".to_string()],
         no_relaxed_files: vec![rel.to_string()],

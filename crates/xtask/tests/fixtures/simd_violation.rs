@@ -1,6 +1,6 @@
-//! Seeded simd_gate violations: lint as a file *not* in `[simd] modules`.
-//! An arch-intrinsic path and a file-level `allow(unsafe_code)` must
-//! each fire; the decoys below must stay silent.
+//! Seeded simd_gate violations. An arch-intrinsic path fires in any file,
+//! a file-level `allow(unsafe_code)` in any file off `[unsafe_code] allow`;
+//! the decoys below must stay silent.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::_mm_set1_epi64x;

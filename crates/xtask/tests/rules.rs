@@ -10,7 +10,6 @@ fn fixture_config() -> Config {
         roots: vec!["src".to_string()],
         skip: vec![],
         unsafe_allow: vec!["src/allowed_unsafe.rs".to_string()],
-        simd_allow: vec!["src/simd.rs".to_string()],
         hot_path: vec!["src/hot.rs".to_string()],
         counter_fields: vec!["freq".to_string(), "persist".to_string()],
         no_relaxed_files: vec!["src/conc.rs".to_string()],
@@ -279,8 +278,6 @@ fn simd_gate_fires_off_list() {
         vec![("simd_gate", 4), ("simd_gate", 6)],
         "full: {hits:?}"
     );
-    // Inside the simd module both patterns are the point.
-    assert!(active_rules("src/simd.rs", src).is_empty());
 }
 
 #[test]
@@ -295,8 +292,7 @@ fn simd_gate_allows_unsafe_override_in_unsafe_allowlist_files() {
 #[test]
 fn simd_gate_is_not_waivable() {
     // simd_gate is not in WAIVABLE_RULES: a waiver naming it is itself
-    // an active violation, so the build still fails — the [simd] modules
-    // list is the only escape hatch.
+    // an active violation, so the build still fails.
     let src = "use core::arch::x86_64::_mm_set1_epi64x; // lint:allow(simd_gate): nope\n";
     let hits = lint_source("src/other.rs", src, &fixture_config());
     assert!(

@@ -14,9 +14,6 @@ skip = ["tests"]
 [unsafe_code]
 allow = ["src/spsc.rs"]
 
-[simd]
-modules = ["src/simd.rs"]
-
 [hot_path]
 files = ["src/table.rs"]
 
@@ -92,10 +89,25 @@ fn multiline_arrays_and_comments_parse() {
 
 #[test]
 fn unknown_section_is_a_named_error() {
-    let err = parse_config("[paths]\nroots = [\"src\"]\n\n[hotpath]\nfiles = []\n")
-        .expect_err("must reject");
-    assert!(err.contains("unknown section `[hotpath]`"), "{err}");
-    assert!(err.contains("lint.toml:4"), "should carry the line: {err}");
+    // A misspelled section, and the retired `[simd]` section.
+    for (name, section) in [
+        ("hotpath", "[hotpath]\nfiles = []\n"),
+        ("simd", "[simd]\nmodules = [\"src/lib.rs\"]\n"),
+    ] {
+        let text = format!("[paths]\nroots = [\"src\"]\n\n{section}");
+        let err = parse_config(&text).expect_err("must reject");
+        assert!(
+            err.contains(&format!("unknown section `[{name}]`")),
+            "{err}"
+        );
+        assert!(err.contains("lint.toml:4"), "should carry the line: {err}");
+        let root = scratch(&format!("section-{name}"));
+        write(&root, "src/lib.rs", "pub fn f() {}\n");
+        write(&root, "lint.toml", &text);
+        let (code, out) = run_lint(&root);
+        assert_eq!(code, 2, "output: {out}");
+        let _ = fs::remove_dir_all(&root);
+    }
 }
 
 #[test]
