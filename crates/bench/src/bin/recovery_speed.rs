@@ -162,8 +162,7 @@ fn main() {
                 Checkpointer::new(&dir).expect("store"),
                 DurabilityPolicy {
                     interval: Duration::from_millis(100),
-                    full_every: 8,
-                    max_chain_len: 16,
+                    max_chain_len: 8,
                     faults: FaultPolicy::default(),
                     on_fault: Default::default(),
                 },

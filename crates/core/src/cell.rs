@@ -485,7 +485,8 @@ impl TableStore {
 
     /// Touch the first word of each lane of the bucket tile at `tb` — the
     /// prefetch for the batched insert path. Two demand loads start the
-    /// tile's id-lane and meta-lane lines `prefetch_distance` records
+    /// tile's id-lane and meta-lane lines
+    /// [`PREFETCH_DISTANCE`](crate::table::PREFETCH_DISTANCE) records
     /// early. Both lanes are always needed (even a case-1 hit reads ids
     /// and writes its meta), and at `d ≥ 8` they sit on different cache
     /// lines, so touching only the id lane leaves the meta line's miss on

@@ -87,16 +87,7 @@ pub struct LtcConfig {
     pub variant: Variant,
     /// Seed for the bucket hash function.
     pub seed: u64,
-    /// How many records ahead the batched insert path touches the next
-    /// bucket's id lane ([`crate::Ltc::insert_batch`]). Purely a throughput
-    /// knob: it never changes results, and it is deliberately excluded from
-    /// checkpoint fingerprints so tuning it cannot invalidate saved state.
-    pub prefetch_distance: usize,
 }
-
-/// Default [`LtcConfig::prefetch_distance`]: far enough to cover a DRAM
-/// miss at batch-insert issue rates, near enough to stay inside the batch.
-pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
 
 impl LtcConfig {
     /// Start building a configuration.
@@ -177,7 +168,6 @@ pub struct LtcConfigBuilder {
     period_mode: PeriodMode,
     variant: Variant,
     seed: u64,
-    prefetch_distance: usize,
 }
 
 impl Default for LtcConfigBuilder {
@@ -191,7 +181,6 @@ impl Default for LtcConfigBuilder {
             },
             variant: Variant::FULL,
             seed: 0x5151_c0de,
-            prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
         }
     }
 }
@@ -245,13 +234,6 @@ impl LtcConfigBuilder {
         self
     }
 
-    /// Batched-insert prefetch lookahead, in records. `0` disables the
-    /// prefetch touch entirely.
-    pub fn prefetch_distance(mut self, records: usize) -> Self {
-        self.prefetch_distance = records;
-        self
-    }
-
     /// Finalise. Panics on a degenerate shape.
     pub fn build(self) -> LtcConfig {
         assert!(self.buckets >= 1, "need at least one bucket");
@@ -263,7 +245,6 @@ impl LtcConfigBuilder {
             period_mode: self.period_mode,
             variant: self.variant,
             seed: self.seed,
-            prefetch_distance: self.prefetch_distance,
         }
     }
 }
@@ -277,19 +258,6 @@ mod tests {
         let c = LtcConfig::builder().build();
         assert_eq!(c.cells_per_bucket, 8, "paper sets d = 8 by default");
         assert_eq!(c.variant, Variant::FULL);
-    }
-
-    #[test]
-    fn prefetch_distance_defaults_to_eight() {
-        // The batched path was tuned at lookahead 8 (BENCH_pipeline.json);
-        // changing the default must be a deliberate, benchmarked decision.
-        assert_eq!(DEFAULT_PREFETCH_DISTANCE, 8);
-        assert_eq!(
-            LtcConfig::builder().build().prefetch_distance,
-            DEFAULT_PREFETCH_DISTANCE
-        );
-        let c = LtcConfig::builder().prefetch_distance(0).build();
-        assert_eq!(c.prefetch_distance, 0, "0 disables the prefetch touch");
     }
 
     #[test]

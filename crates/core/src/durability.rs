@@ -36,10 +36,11 @@
 //! ## Prune safety
 //!
 //! A delta frame is useless without its base, so the service clamps the
-//! [`Checkpointer`]'s keep limit to at least `max_chain_len + 2`
-//! generations: the live chain (base + deltas) plus the previous chain's
-//! base always survive pruning, and restore can always fall back a full
-//! generation chain.
+//! [`Checkpointer`]'s keep limit to at least `2·(max_chain_len + 1)`
+//! generations: the live chain (base + up to `max_chain_len` deltas)
+//! plus the whole previous chain always survive pruning, so restore can
+//! always fall back a full generation chain — even when the compaction
+//! that opened the live chain is unreadable.
 //!
 //! ## Deterministic checkpoints
 //!
@@ -80,14 +81,9 @@ pub struct DurabilityPolicy {
     /// [`DurabilityService::checkpoint_now`] requests are served
     /// immediately regardless.
     pub interval: Duration,
-    /// Delta frames between full frames: after this many deltas the next
-    /// frame is a compaction (a fresh full frame). `0` makes every frame
-    /// full.
-    pub full_every: u32,
-    /// Hard cap on chain length: a chain that reaches this many deltas is
-    /// compacted at the next tick even if `full_every` hasn't elapsed
-    /// (they differ when failed saves stretch a chain). Also sets the
-    /// prune clamp — see the module docs.
+    /// Delta frames per chain: once a chain holds this many deltas the
+    /// next frame is a compaction (a fresh full frame). `0` makes every
+    /// frame full. Also sets the prune clamp — see the module docs.
     pub max_chain_len: u32,
     /// Retry budget and backoff for failed saves (reuses the worker
     /// supervisor's policy type).
@@ -100,8 +96,7 @@ impl Default for DurabilityPolicy {
     fn default() -> Self {
         Self {
             interval: Duration::from_millis(200),
-            full_every: 8,
-            max_chain_len: 16,
+            max_chain_len: 8,
             faults: FaultPolicy::default(),
             on_fault: OnFault::Degrade,
         }
@@ -152,10 +147,11 @@ pub struct DurabilityService {
 
 impl DurabilityService {
     /// Attach a durability service to `runtime`, publishing through
-    /// `store` (its keep limit is clamped to `max_chain_len + 2` — see the
-    /// module docs). The service holds shard handles, not the runtime:
-    /// `runtime` stays fully usable (including a later
-    /// [`ParallelLtc::restore_from`], after stopping the service).
+    /// `store`, whose keep limit is raised to at least
+    /// `2·(max_chain_len + 1)` generations: the live chain plus the whole
+    /// previous chain (see the module docs). The service holds shard
+    /// handles, not the runtime: `runtime` stays fully usable (including a
+    /// later [`ParallelLtc::restore_from`], after stopping the service).
     ///
     /// # Errors
     /// [`CheckpointError::Io`] if the service thread cannot be spawned.
@@ -164,7 +160,9 @@ impl DurabilityService {
         store: Checkpointer,
         policy: DurabilityPolicy,
     ) -> Result<Self, CheckpointError> {
-        let min_keep = (policy.max_chain_len as usize).saturating_add(2);
+        let min_keep = (policy.max_chain_len as usize)
+            .saturating_add(1)
+            .saturating_mul(2);
         let store = if store.keep_limit() < min_keep {
             store.keep_generations(min_keep)
         } else {
@@ -188,7 +186,6 @@ impl DurabilityService {
             control: Arc::clone(&control),
             status: Arc::clone(&status),
             chain: None,
-            deltas_since_full: 0,
         };
         let handle = std::thread::Builder::new()
             .name("ltc-durability".to_string())
@@ -293,8 +290,6 @@ struct Worker {
     /// Live delta chain; `None` until a full frame lands (and again after
     /// a failed full save — see the module docs).
     chain: Option<DeltaChain>,
-    /// Delta frames published since the last full frame.
-    deltas_since_full: u32,
 }
 
 /// Why the wait loop woke up.
@@ -414,20 +409,19 @@ impl Worker {
         }
     }
 
-    /// One save attempt. Full when there is no live chain or the cadence
-    /// says so; delta otherwise. A failed full save drops the chain so no
+    /// One save attempt. Full when there is no live chain or the chain
+    /// is full; delta otherwise. A failed full save drops the chain so no
     /// delta is attempted until a full frame lands.
     fn try_save(&mut self) -> Result<u64, CheckpointError> {
-        let compact = self.chain.as_ref().is_some_and(|chain| {
-            self.deltas_since_full >= self.policy.full_every
-                || chain.length >= self.policy.max_chain_len
-        });
+        let compact = self
+            .chain
+            .as_ref()
+            .is_some_and(|chain| chain.length >= self.policy.max_chain_len);
         match self.chain {
             Some(ref mut chain) if !compact => {
                 let _span = self.trace.as_ref().map(|t| t.span(names::DELTA_SAVE, None));
                 let generation =
                     save_delta_over(&self.shards, self.obs.as_deref(), &self.store, chain)?;
-                self.deltas_since_full = self.deltas_since_full.saturating_add(1);
                 let length = chain.length;
                 self.with_status(|s| {
                     s.delta_saves = s.delta_saves.saturating_add(1);
@@ -458,7 +452,6 @@ impl Worker {
                     Ok(chain) => {
                         let generation = chain.base_generation;
                         self.chain = Some(chain);
-                        self.deltas_since_full = 0;
                         self.with_status(|s| {
                             s.full_saves = s.full_saves.saturating_add(1);
                             if compact {
@@ -549,7 +542,7 @@ mod tests {
         let scratch = ScratchDir::new("cadence");
         let runtime = ParallelLtc::with_batch_size(config(), 2, 8);
         let policy = DurabilityPolicy {
-            full_every: 2,
+            max_chain_len: 2,
             ..manual_policy()
         };
         let service =
@@ -610,7 +603,56 @@ mod tests {
         };
         let store = Checkpointer::new(scratch.path()).unwrap(); // default keep = 3
         let service = DurabilityService::attach(&runtime, store, policy).unwrap();
-        assert_eq!(service.store().keep_limit(), 8, "max_chain_len + 2");
+        assert_eq!(service.store().keep_limit(), 14, "2·(max_chain_len + 1)");
+    }
+
+    #[test]
+    fn corrupt_compaction_falls_back_to_the_previous_chain() {
+        for max_chain_len in [1u32, 2, 4, 8] {
+            let scratch = ScratchDir::new("fallback");
+            let mut runtime = ParallelLtc::with_batch_size(config(), 1, 8);
+            let policy = DurabilityPolicy {
+                max_chain_len,
+                ..manual_policy()
+            };
+            let service = DurabilityService::attach(
+                &runtime,
+                Checkpointer::new(scratch.path()).unwrap(),
+                policy,
+            )
+            .unwrap();
+            // full, n deltas, the compaction, one delta
+            let n = u64::from(max_chain_len);
+            let (newest_delta, compaction) = (n + 1, n + 2);
+            let mut expected = None;
+            for save in 1..=n + 3 {
+                for i in 0..30u64 {
+                    runtime.insert(save * 7 + i % 5);
+                }
+                runtime.sync().unwrap();
+                assert_eq!(service.checkpoint_now().unwrap(), save);
+                if save == newest_delta {
+                    expected = Some(runtime.to_checkpoint());
+                }
+            }
+            assert_eq!(service.status().compactions, 1, "n = {n}");
+            drop(service);
+            runtime.finish().unwrap();
+            let frame = scratch.path().join(format!("ltc.{compaction:020}.ckpt"));
+            let mut bytes = std::fs::read(&frame).unwrap();
+            let middle = bytes.len() / 2;
+            bytes[middle] ^= 0xff;
+            std::fs::write(&frame, bytes).unwrap();
+            let mut recovered = ParallelLtc::with_batch_size(config(), 1, 8);
+            let store = Checkpointer::new(scratch.path()).unwrap();
+            assert_eq!(
+                recovered.restore_from(&store).unwrap(),
+                newest_delta,
+                "n = {n}: the previous chain's newest delta"
+            );
+            assert_eq!(Some(recovered.to_checkpoint()), expected, "n = {n}");
+            recovered.finish().unwrap();
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 /// tiny separate allocations; without the alignment several cells end up
 /// on one line and a producer-owned cell false-shares with a
 /// worker-owned one, turning "wait-free update" into a cross-core line
-/// bounce per batch (measurable in `obs_overhead`).
+/// bounce per batch.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Cell {

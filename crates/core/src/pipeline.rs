@@ -879,8 +879,8 @@ impl ParallelLtc {
     /// [`with_fault_policy`](ParallelLtc::with_fault_policy) with explicit
     /// observability: pass a shared [`RuntimeObs`] to aggregate several
     /// runtimes into one registry, or `None` to run with metrics off (the
-    /// mode the `obs_overhead` bench compares against). Spawns workers on
-    /// the [`spsc`](crate::spsc) rings.
+    /// baseline of the metrics overhead smoke bound in `tests/obs.rs`).
+    /// Spawns workers on the [`spsc`](crate::spsc) rings.
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,

@@ -21,6 +21,7 @@ use crate::cell::Cell;
 use crate::clock::ClockPointer;
 use crate::config::{LtcConfig, PeriodMode};
 use crate::stats::LtcStats;
+use crate::table::PREFETCH_DISTANCE;
 use ltc_common::{top_k_of, Estimate, ItemId, Timestamp, Weights};
 use ltc_hash::SeededHash;
 
@@ -258,11 +259,7 @@ impl ReferenceLtc {
 
     #[inline]
     fn prefetch_bucket(&self, bases: &[usize], j: usize) {
-        let distance = self.config.prefetch_distance;
-        if distance == 0 {
-            return;
-        }
-        if let Some(&base) = bases.get(j.saturating_add(distance)) {
+        if let Some(&base) = bases.get(j.saturating_add(PREFETCH_DISTANCE)) {
             // Copy the id so the optimiser cannot drop the load — a bare
             // `black_box(&cell)` pins only the address, fetching nothing.
             if let Some(cell) = self.cells.get(base) {

@@ -21,6 +21,11 @@ use ltc_common::{
 };
 use ltc_hash::SeededHash;
 
+/// How many records ahead the batched insert path touches the next
+/// bucket's tile ([`Ltc::insert_batch`]): far enough to cover a DRAM miss
+/// at batch-insert issue rates, near enough to stay inside the batch.
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
+
 /// The Long-Tail CLOCK structure: `w` buckets × `d` cells, a CLOCK pointer
 /// for persistency, and the two optional optimizations.
 ///
@@ -144,13 +149,13 @@ impl Ltc {
     ///
     /// # Panics
     /// Panics if the table was configured time-driven; use
-    /// [`insert_batch_at`](Ltc::insert_batch_at) there.
+    /// [`insert_at`](Ltc::insert_at) there.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = match self.config.period_mode {
             PeriodMode::ByCount { records_per_period } => records_per_period,
             PeriodMode::ByTime { .. } => {
                 // lint:allow(no_panic): mode mismatch is a caller bug; documented contract
-                panic!("time-driven LTC must be fed via insert_batch_at(items)")
+                panic!("time-driven LTC must be fed via insert_at(id, time)")
             }
         };
         let m = self.store.len() as u64;
@@ -212,41 +217,6 @@ impl Ltc {
         tally.flush(&mut self.stats);
     }
 
-    /// Insert a run of timestamped records (time-driven mode) — the batched
-    /// twin of [`insert_at`](Ltc::insert_at). Bit-identical to inserting the
-    /// pairs one by one; the batch gains come from up-front hashing and
-    /// bucket prefetch (CLOCK stepping in time-driven mode is already
-    /// amortised per record by the division-based tick).
-    ///
-    /// # Panics
-    /// Panics if the table was configured count-driven.
-    pub fn insert_batch_at(&mut self, items: &[(ItemId, Timestamp)]) {
-        let t = match self.config.period_mode {
-            PeriodMode::ByTime { units_per_period } => units_per_period,
-            PeriodMode::ByCount { .. } => {
-                // lint:allow(no_panic): mode mismatch is a caller bug; documented contract
-                panic!("count-driven LTC must be fed via insert_batch(ids)")
-            }
-        };
-        let ids: Vec<ItemId> = items.iter().map(|&(id, _)| id).collect();
-        let bases = self.hash_batch(&ids);
-        for (j, (&(id, time), &base)) in items.iter().zip(&bases).enumerate() {
-            self.prefetch_bucket(&bases, j);
-            debug_assert!(
-                time >= self.last_time || time >= self.period_start_time,
-                "timestamps must be non-decreasing"
-            );
-            while time >= self.period_start_time.saturating_add(t) {
-                self.end_period();
-            }
-            let reference = self.last_time.max(self.period_start_time);
-            let elapsed = time.saturating_sub(reference);
-            self.tick(elapsed.saturating_mul(self.store.len() as u64), t);
-            self.last_time = time;
-            self.process_dispatch(id, base);
-        }
-    }
-
     /// Hash every id of a batch to its bucket's tile base.
     fn hash_batch(&self, ids: &[ItemId]) -> Vec<usize> {
         // `bucket_index < buckets`, so the tile base fits in usize (the
@@ -256,20 +226,16 @@ impl Ltc {
             .collect()
     }
 
-    /// Touch a bucket's tile a few records ahead
-    /// ([`LtcConfig::prefetch_distance`]) so its cache lines are in flight
-    /// by the time [`process_at`](Ltc::process_at) reads them. A whole
-    /// probe (match, vacancy, min-significance) reads one contiguous
-    /// `16·d`-byte tile, so the touch covers every line a probe can need.
+    /// Touch a bucket's tile [`PREFETCH_DISTANCE`] records ahead so its
+    /// cache lines are in flight by the time
+    /// [`process_at`](Ltc::process_at) reads them. A whole probe (match,
+    /// vacancy, min-significance) reads one contiguous `16·d`-byte tile,
+    /// so the touch covers every line a probe can need.
     /// The core crate forbids `unsafe`, so instead of `_mm_prefetch` this
     /// issues plain reads the optimiser must keep (`black_box`).
     #[inline]
     fn prefetch_bucket(&self, bases: &[usize], j: usize) {
-        let distance = self.config.prefetch_distance;
-        if distance == 0 {
-            return;
-        }
-        if let Some(&base) = bases.get(j.saturating_add(distance)) {
+        if let Some(&base) = bases.get(j.saturating_add(PREFETCH_DISTANCE)) {
             self.store.prefetch_tile(base);
         }
     }

@@ -70,24 +70,3 @@ fn pre_soa_checkpoint_rejects_wrong_config() {
     );
     assert!(other.restore_checkpoint(PRE_SOA_FRAME).is_err());
 }
-
-#[test]
-fn prefetch_distance_does_not_change_fingerprints() {
-    // prefetch_distance is a throughput knob: tables tuned differently must
-    // still accept each other's checkpoints (the fingerprint deliberately
-    // enumerates only result-affecting fields).
-    let mut tuned = Ltc::new(
-        LtcConfig::builder()
-            .buckets(16)
-            .cells_per_bucket(4)
-            .weights(Weights::BALANCED)
-            .records_per_period(50)
-            .seed(9)
-            .prefetch_distance(32)
-            .build(),
-    );
-    tuned
-        .restore_checkpoint(PRE_SOA_FRAME)
-        .expect("perf knobs must not invalidate checkpoints");
-    assert_eq!(tuned.periods_completed(), 4);
-}

@@ -383,10 +383,10 @@ fn metrics_off_runtime_still_streams_and_aggregates_stats() {
 }
 
 // ---------------------------------------------------------------------------
-// Overhead smoke test. The precise number lives in BENCH_obs.json (run
-// `cargo run -p ltc-bench --release --bin obs_overhead`); this guard only
+// Overhead smoke test: metrics on against metrics off. This guard only
 // catches gross regressions — e.g. a lock or syscall sneaking onto the
-// per-batch path — without being sensitive to CI noise.
+// per-batch path — without being sensitive to CI noise. The tracer's cost
+// is measured by perfbench's `obs.tracing_overhead_pct` (`--trace 1`).
 
 #[test]
 fn instrumentation_overhead_stays_within_smoke_bound() {
@@ -413,9 +413,9 @@ fn instrumentation_overhead_stays_within_smoke_bound() {
         off += run(None);
         on += run(Some(Arc::new(RuntimeObs::new())));
     }
-    // The measured overhead target is ≤2%; the smoke bound is 75% so a
-    // noisy shared runner cannot flake this, while a stray lock or
-    // SeqCst-per-record (an order of magnitude) still trips it.
+    // The smoke bound is 75% so a noisy shared runner cannot flake this,
+    // while a stray lock or SeqCst-per-record (an order of magnitude)
+    // still trips it.
     assert!(
         on.as_secs_f64() <= off.as_secs_f64() * 1.75,
         "instrumentation overhead too high: on={on:?} off={off:?}"

@@ -423,53 +423,6 @@ proptest! {
         prop_assert_eq!(format!("{scalar:?}"), format!("{batched:?}"));
     }
 
-    /// `insert_batch_at` is bit-identical to the scalar `insert_at` loop
-    /// for any timestamped stream and any batch split, including batches
-    /// that straddle (or skip whole) period boundaries.
-    #[test]
-    fn batch_insert_matches_scalar_time_driven(
-        events in prop::collection::vec((0u64..30, 0u64..80), 1..400),
-        sizes in prop::collection::vec(1usize..40, 1..12),
-        period_len in 50u64..300,
-        de in any::<bool>(),
-        ltr in any::<bool>(),
-    ) {
-        let mut t = 0u64;
-        let timeline: Vec<(u64, u64)> = events
-            .iter()
-            .map(|&(id, gap)| {
-                t += gap;
-                (id, t)
-            })
-            .collect();
-        let cfg = LtcConfig::builder()
-            .buckets(4)
-            .cells_per_bucket(4)
-            .time_units_per_period(period_len)
-            .weights(Weights::BALANCED)
-            .variant(Variant { deviation_eliminator: de, long_tail_replacement: ltr })
-            .seed(42)
-            .build();
-        let mut scalar = Ltc::new(cfg);
-        let mut batched = Ltc::new(cfg);
-        for (i, chunk) in chunks_by_sizes(&timeline, &sizes).into_iter().enumerate() {
-            for &(id, at) in chunk {
-                scalar.insert_at(id, at);
-            }
-            batched.insert_batch_at(chunk);
-            prop_assert_eq!(
-                format!("{scalar:?}"),
-                format!("{batched:?}"),
-                "diverged after chunk {}", i
-            );
-        }
-        scalar.end_period();
-        batched.end_period();
-        scalar.finalize();
-        batched.finalize();
-        prop_assert_eq!(format!("{scalar:?}"), format!("{batched:?}"));
-    }
-
     /// Sharded routing commutes with batching: feeding a `ShardedLtc`
     /// record-by-record and batch-by-batch produces identical shard states.
     #[test]

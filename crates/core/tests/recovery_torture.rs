@@ -88,8 +88,7 @@ fn runtime(shards: usize, batch: usize) -> ParallelLtc {
 fn manual_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         interval: Duration::from_secs(3_600),
-        full_every: 8,
-        max_chain_len: 16,
+        max_chain_len: 8,
         faults: FaultPolicy::no_backoff(),
         on_fault: OnFault::Degrade,
     }
@@ -260,7 +259,7 @@ fn torn_compaction_falls_back_to_the_chain_it_was_replacing() {
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
     let policy = DurabilityPolicy {
-        full_every: 1, // compact after every delta
+        max_chain_len: 1, // compact after every delta
         ..manual_policy()
     };
     let service =
@@ -401,7 +400,7 @@ fn repeated_kill_restore_cycles_track_the_acknowledged_prefix() {
             &p,
             Checkpointer::new(scratch.path()).unwrap(),
             DurabilityPolicy {
-                full_every: 2,
+                max_chain_len: 2,
                 ..manual_policy()
             },
         )

@@ -1,17 +1,12 @@
 //! `cargo run -p xtask -- bench-compare <baseline.json> <new.json>`
 //!
 //! Throughput regression gate over the checked-in bench JSON files
-//! (`BENCH_pipeline.json`, `BENCH_table.json`). Both files are flattened
-//! to `dotted.path → number` maps by a minimal zero-dependency JSON
-//! reader; every numeric key whose path contains the filter substring
-//! (default `mops`, i.e. throughput — higher is better) present in
-//! *both* files is compared, and the command exits nonzero when any of
-//! them dropped by more than the tolerance percent.
-//!
-//! The tolerance is resolved in order: `--tolerance` (or its older alias
-//! `--max-regress`) on the command line, then `[bench] tolerance` in the
-//! lint.toml named by `--config` (the CLI wrapper passes the workspace
-//! lint.toml by default), then the built-in default.
+//! (`BENCH_pipeline.json`, `BENCH_table.json`, `BENCH_recovery.json`).
+//! Both files are flattened to `dotted.path → number` maps by a minimal
+//! zero-dependency JSON reader; every numeric key of the baseline whose
+//! path contains `mops` (throughput — higher is better) is compared, and
+//! the command exits nonzero when any of them dropped by more than the
+//! `--tolerance` percent (default 5).
 //!
 //! Exit codes: `0` within budget, `1` regression detected, `2` usage or
 //! parse error. A throughput key that *disappears* from the new file is
@@ -21,11 +16,11 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Built-in tolerance, percent, when neither a flag nor a config sets it.
-const DEFAULT_MAX_REGRESS: f64 = 5.0;
+/// Tolerance, percent, when `--tolerance` is not given.
+const DEFAULT_TOLERANCE: f64 = 5.0;
 
-/// Default key filter: throughput keys, where a drop is a regression.
-const DEFAULT_FILTER: &str = "mops";
+/// Keys gated: throughput keys, where a drop is a regression.
+const FILTER: &str = "mops";
 
 // ---------------------------------------------------------------------------
 // Minimal JSON number flattener
@@ -204,12 +199,12 @@ impl Delta {
     }
 }
 
-/// Compare every `filter`-matching numeric key of `baseline` against
-/// `new`, in baseline order.
-pub fn compare(baseline: &[(String, f64)], new: &[(String, f64)], filter: &str) -> Vec<Delta> {
+/// Compare every throughput (`mops`) key of `baseline` against `new`, in
+/// baseline order.
+pub fn compare(baseline: &[(String, f64)], new: &[(String, f64)]) -> Vec<Delta> {
     baseline
         .iter()
-        .filter(|(k, _)| k.contains(filter))
+        .filter(|(k, _)| k.contains(FILTER))
         .map(|(key, base)| {
             let fresh = new.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
             let change_pct = fresh.and_then(|v| (*base > 0.0).then(|| (v - base) / base * 100.0));
@@ -233,48 +228,21 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
         2
     };
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut flag_tolerance: Option<f64> = None;
-    let mut config_tolerance: Option<f64> = None;
-    let mut filter = DEFAULT_FILTER.to_string();
+    let mut max_regress = DEFAULT_TOLERANCE;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            // `--tolerance` and its older alias mean the same thing.
-            flag @ ("--tolerance" | "--max-regress") => {
-                match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(v) if v >= 0.0 => flag_tolerance = Some(v),
-                    _ => return fail(format!("{flag} needs a non-negative percent")),
-                }
-            }
-            "--key-filter" => match it.next() {
-                Some(v) => filter = v.clone(),
-                None => return fail("--key-filter needs a substring".to_string()),
+            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) if v >= 0.0 => max_regress = v,
+                _ => return fail("--tolerance needs a non-negative percent".to_string()),
             },
-            "--config" => {
-                let Some(path) = it.next() else {
-                    return fail("--config needs a lint.toml path".to_string());
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => return fail(format!("cannot read {path}: {e}")),
-                };
-                match crate::parse_config(&text) {
-                    Ok(config) => config_tolerance = config.bench_tolerance,
-                    Err(e) => return fail(e),
-                }
-            }
             flag if flag.starts_with("--") => return fail(format!("unknown option `{flag}`")),
             path => paths.push(PathBuf::from(path)),
         }
     }
-    let max_regress = flag_tolerance
-        .or(config_tolerance)
-        .unwrap_or(DEFAULT_MAX_REGRESS);
     let [baseline_path, new_path] = paths.as_slice() else {
         return fail(
-            "usage: bench-compare <baseline.json> <new.json> \
-             [--tolerance <pct>] [--key-filter <substr>] [--config <lint.toml>]"
-                .to_string(),
+            "usage: bench-compare <baseline.json> <new.json> [--tolerance <pct>]".to_string(),
         );
     };
     let load = |path: &PathBuf| -> Result<Vec<(String, f64)>, String> {
@@ -290,10 +258,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
         Ok(v) => v,
         Err(e) => return fail(e),
     };
-    let deltas = compare(&baseline, &fresh, &filter);
+    let deltas = compare(&baseline, &fresh);
     if deltas.is_empty() {
         return fail(format!(
-            "no `{filter}` keys in {} — nothing to gate on",
+            "no `{FILTER}` keys in {} — nothing to gate on",
             baseline_path.display()
         ));
     }
@@ -324,7 +292,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
     }
     // New keys are informational: they cannot regress, but surfacing
     // them keeps the gate's coverage visible.
-    for (key, v) in fresh.iter().filter(|(k, _)| k.contains(&filter)) {
+    for (key, v) in fresh.iter().filter(|(k, _)| k.contains(FILTER)) {
         if !baseline.iter().any(|(k, _)| k == key) {
             let _ = writeln!(out, "{key:<28} {:>10} -> {v:>10.3}  (new key)", "-");
         }

@@ -23,8 +23,6 @@
 //! * **no_index** — hot-path files: no `expr[...]` *index expressions*.
 //!   Attributes, macro invocations, slice patterns, array types and
 //!   array literals are structurally not indexing and never flagged.
-//! * **counter_arith** — no `+=`/`-=`/`*=` on the configured counter
-//!   fields in hot-path files; spell out the overflow mode.
 //! * **no_relaxed** — every `Ordering::Relaxed` in the configured
 //!   concurrency files carries a justification.
 //! * **failpoint_gate** — `fail_point!` / `failpoint::` only in
@@ -128,10 +126,8 @@ pub struct Config {
     pub skip: Vec<String>,
     /// Files allowed to contain `unsafe`.
     pub unsafe_allow: Vec<String>,
-    /// Hot-path files subject to no_panic / no_index / counter_arith.
+    /// Hot-path files subject to no_panic / no_index.
     pub hot_path: Vec<String>,
-    /// Counter field names checked by counter_arith.
-    pub counter_fields: Vec<String>,
     /// Files where `Ordering::Relaxed` needs a justification.
     pub no_relaxed_files: Vec<String>,
     /// Files whose atomics must each declare an `// ordering:` contract,
@@ -150,10 +146,6 @@ pub struct Config {
     /// Hot-path files where a metric update must not share a statement
     /// with a lock or a strong atomic ordering.
     pub obs_call_site_files: Vec<String>,
-    /// Default relative tolerance (percent) for `bench-compare`, from
-    /// `[bench] tolerance`. `None` falls back to the built-in default;
-    /// the `--tolerance` / `--max-regress` flags override either.
-    pub bench_tolerance: Option<f64>,
     /// Hot-path entry points for the interprocedural purity analysis:
     /// `"path/to/file.rs::Type::fn"` (or `file.rs::fn` for free fns).
     pub callgraph_entries: Vec<String>,
@@ -183,12 +175,10 @@ const SCHEMA: &[(&str, &[&str])] = &[
     ("paths", &["roots", "skip"]),
     ("unsafe_code", &["allow"]),
     ("hot_path", &["files"]),
-    ("counters", &["fields"]),
     ("orderings", &["no_relaxed_files", "protocol_files"]),
     ("failpoints", &["allow"]),
     ("atomic_io", &["files"]),
     ("obs", &["metrics_files", "trace_files", "call_site_files"]),
-    ("bench", &["tolerance"]),
     (
         "callgraph",
         &[
@@ -249,23 +239,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
                 return Err(format!("lint.toml:{}: unterminated array", idx + 1));
             }
         }
-        // `[bench] tolerance` is the one numeric key in the schema.
-        if section == "bench" && key == "tolerance" {
-            let pct: f64 = value.parse().map_err(|_| {
-                format!(
-                    "lint.toml:{}: `tolerance` must be a number (percent), got `{value}`",
-                    idx + 1
-                )
-            })?;
-            if !pct.is_finite() || pct < 0.0 {
-                return Err(format!(
-                    "lint.toml:{}: `tolerance` must be a finite non-negative percent",
-                    idx + 1
-                ));
-            }
-            config.bench_tolerance = Some(pct);
-            continue;
-        }
         // `[callgraph] opaque_budget` is the one integer key.
         if section == "callgraph" && key == "opaque_budget" {
             let n: u64 = value.parse().map_err(|_| {
@@ -284,7 +257,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
             ("paths", "skip") => config.skip = values,
             ("unsafe_code", "allow") => config.unsafe_allow = values,
             ("hot_path", "files") => config.hot_path = values,
-            ("counters", "fields") => config.counter_fields = values,
             ("orderings", "no_relaxed_files") => config.no_relaxed_files = values,
             ("orderings", "protocol_files") => config.protocol_files = values,
             ("failpoints", "allow") => config.failpoint_allow = values,
@@ -1009,16 +981,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
         Some("lint") => {}
         Some("callgraph") => callgraph_cmd = true,
         Some("bench-compare") => {
-            let mut rest: Vec<String> = args.cloned().collect();
-            // Default the tolerance source to the workspace lint.toml
-            // (`[bench] tolerance`) unless the caller names a config.
-            if !rest.iter().any(|a| a == "--config") {
-                let shipped = workspace_root().join("lint.toml");
-                if shipped.is_file() {
-                    rest.push("--config".to_string());
-                    rest.push(shipped.display().to_string());
-                }
-            }
+            let rest: Vec<String> = args.cloned().collect();
             return bench_compare::run(&rest, out);
         }
         other => {
@@ -1032,7 +995,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
                  cargo run -p xtask -- callgraph [--root <dir>] [--config <lint.toml>] \
                  [--format dot|json]\n       \
                  cargo run -p xtask -- bench-compare <baseline.json> <new.json> \
-                 [--tolerance <pct>] [--key-filter <substr>] [--config <lint.toml>]"
+                 [--tolerance <pct>]"
             );
             return 2;
         }

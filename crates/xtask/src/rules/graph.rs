@@ -27,9 +27,9 @@ pub const GRAPH_RULES: &[&str] = &["hot_path_purity", "unsafe_reach", "opaque_ca
 
 /// Default transitive deny set when `[callgraph] purity_deny` is
 /// omitted: everything panic-capable plus blocking and I/O. `alloc`
-/// and `arith` are opt-in — batch-amortized scratch allocation and
-/// compound arithmetic on non-counter locals are policy decisions, not
-/// universal hot-path sins.
+/// and `arith` are opt-in — batch-amortized scratch allocation is a
+/// policy decision, and overflow is clippy's `arithmetic_side_effects`
+/// lint's to catch.
 const DEFAULT_DENY: &[EffectKind] = &[
     EffectKind::Panic,
     EffectKind::Index,
@@ -162,7 +162,6 @@ fn base_rule(config: &Config, rel: &str, kind: EffectKind) -> Option<&'static st
     match kind {
         EffectKind::Panic => Some("no_panic"),
         EffectKind::Index => Some("no_index"),
-        EffectKind::Arith => Some("counter_arith"),
         _ => None,
     }
 }

@@ -12,7 +12,6 @@ use crate::lexer::TokenKind;
 use crate::FileAnalysis;
 
 pub mod atomic_io;
-pub mod counters;
 pub mod failpoints;
 pub mod graph;
 pub mod index;
@@ -38,7 +37,6 @@ pub struct Finding {
 pub const WAIVABLE_RULES: &[&str] = &[
     "no_panic",
     "no_index",
-    "counter_arith",
     "no_relaxed",
     "ordering_protocol",
     "failpoint_gate",
@@ -56,7 +54,6 @@ pub fn run_all(fa: &FileAnalysis, config: &crate::Config) -> Vec<Finding> {
     simd::check(fa, config, &mut out);
     panic::check(fa, config, &mut out);
     index::check(fa, config, &mut out);
-    counters::check(fa, config, &mut out);
     orderings::check(fa, config, &mut out);
     failpoints::check(fa, config, &mut out);
     atomic_io::check(fa, config, &mut out);

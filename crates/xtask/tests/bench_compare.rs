@@ -45,7 +45,7 @@ fn flatten_rejects_malformed_json() {
 #[test]
 fn compare_filters_to_throughput_keys() {
     let base = flatten_numbers(BASELINE).unwrap();
-    let deltas = compare(&base, &base, "mops");
+    let deltas = compare(&base, &base);
     // scalar_mops, batch.0.mops, batch.1.mops, sharded4_batch256_mops —
     // but never batch_size, cpus or the speedup ratios.
     assert_eq!(deltas.len(), 4, "{deltas:?}");
@@ -60,7 +60,7 @@ fn regression_and_missing_keys_fail_the_gate() {
         r#"{"scalar_mops": 9.0, "batch": [{"mops": 12.1}], "sharded4_batch256_mops": 8.4}"#,
     )
     .unwrap();
-    let deltas = compare(&base, &fresh, "mops");
+    let deltas = compare(&base, &fresh);
     let by_key = |k: &str| deltas.iter().find(|d| d.key == k).expect(k);
     // 10.0 → 9.0 is a 10% drop: outside 5%, inside 15%.
     assert!(by_key("scalar_mops").regressed(5.0));
@@ -138,7 +138,7 @@ fn cli_fails_on_regression_beyond_budget() {
     assert_eq!(code, 1, "output: {out}");
     assert!(out.contains("REGRESSED"), "output: {out}");
     // A 20% drop passes with a loosened budget.
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--max-regress", "25"]);
+    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--tolerance", "25"]);
     assert_eq!(code, 0, "output: {out}");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -148,101 +148,27 @@ fn cli_usage_and_parse_errors_exit_two() {
     let dir = scratch("errors");
     let base = write_json(&dir, "base.json", BASELINE);
     let bad = write_json(&dir, "bad.json", "{not json");
+    let no_throughput = write_json(&dir, "latency.json", r#"{"restore_ms": 4.0}"#);
     assert_eq!(run_cli(&["bench-compare"]).0, 2);
     assert_eq!(run_cli(&["bench-compare", &base]).0, 2);
     assert_eq!(run_cli(&["bench-compare", &base, &bad]).0, 2);
     assert_eq!(
-        run_cli(&["bench-compare", &base, &base, "--max-regress", "-3"]).0,
+        run_cli(&["bench-compare", &base, &base, "--tolerance", "-3"]).0,
         2
     );
     assert_eq!(run_cli(&["bench-compare", &base, &base, "--bogus"]).0, 2);
-    // Filter with no matching keys: nothing to gate on is an error, not
-    // a silent pass.
-    let (code, out) = run_cli(&["bench-compare", &base, &base, "--key-filter", "nonexistent"]);
+    // A baseline without throughput keys: nothing to gate on is an
+    // error, not a silent pass.
+    let (code, out) = run_cli(&["bench-compare", &no_throughput, &base]);
     assert_eq!(code, 2, "output: {out}");
     assert!(out.contains("nothing to gate on"), "output: {out}");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn cli_tolerance_flag_and_config_resolution() {
-    let dir = scratch("tolerance");
+fn cli_tolerance_errors_exit_two() {
+    let dir = scratch("badtolerance");
     let base = write_json(&dir, "base.json", BASELINE);
-    // scalar_mops 10.0 → 8.0 is a 20% drop; everything else holds.
-    let fresh = write_json(
-        &dir,
-        "new.json",
-        r#"{
-          "scalar_mops": 8.0,
-          "batch": [
-            {"batch_size": 64, "mops": 12.0},
-            {"batch_size": 256, "mops": 14.0}
-          ],
-          "sharded4_batch256_mops": 8.0
-        }"#,
-    );
-    // Default budget (5%): fails.
-    assert_eq!(run_cli(&["bench-compare", &base, &fresh]).0, 1);
-    // `--tolerance` is the documented spelling of `--max-regress`.
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--tolerance", "25"]);
-    assert_eq!(code, 0, "output: {out}");
-    assert!(out.contains("within the 25% budget"), "output: {out}");
-    // A config file can set the budget instead.
-    let loose = dir.join("loose.toml");
-    fs::write(
-        &loose,
-        "[paths]\nroots = [\"src\"]\n[bench]\ntolerance = 30.0\n",
-    )
-    .expect("write config");
-    let loose = loose.to_str().expect("utf8");
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--config", loose]);
-    assert_eq!(code, 0, "output: {out}");
-    assert!(out.contains("within the 30% budget"), "output: {out}");
-    // The flag beats the config when both are given.
-    let (code, out) = run_cli(&[
-        "bench-compare",
-        &base,
-        &fresh,
-        "--config",
-        loose,
-        "--tolerance",
-        "10",
-    ]);
-    assert_eq!(code, 1, "output: {out}");
-    assert!(out.contains("more than 10%"), "output: {out}");
-    // A config without a [bench] section falls back to the default.
-    let silent = dir.join("silent.toml");
-    fs::write(&silent, "[paths]\nroots = [\"src\"]\n").expect("write config");
-    let silent = silent.to_str().expect("utf8");
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--config", silent]);
-    assert_eq!(code, 1, "output: {out}");
-    assert!(out.contains("more than 5%"), "output: {out}");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cli_config_errors_exit_two() {
-    let dir = scratch("badconfig");
-    let base = write_json(&dir, "base.json", BASELINE);
-    // Unreadable path.
-    let missing = dir.join("missing.toml");
-    let missing = missing.to_str().expect("utf8");
-    assert_eq!(
-        run_cli(&["bench-compare", &base, &base, "--config", missing]).0,
-        2
-    );
-    // Invalid tolerance values are schema errors, not silent defaults.
-    for bad in ["tolerance = -1.0", "tolerance = nan", "tolerance = many"] {
-        let path = dir.join("bad.toml");
-        fs::write(
-            &path,
-            format!("[paths]\nroots = [\"src\"]\n[bench]\n{bad}\n"),
-        )
-        .expect("write config");
-        let path = path.to_str().expect("utf8");
-        let (code, out) = run_cli(&["bench-compare", &base, &base, "--config", path]);
-        assert_eq!(code, 2, "`{bad}` should be rejected:\n{out}");
-    }
     // `--tolerance` with a missing or negative value.
     assert_eq!(
         run_cli(&["bench-compare", &base, &base, "--tolerance"]).0,
@@ -256,16 +182,6 @@ fn cli_config_errors_exit_two() {
 }
 
 #[test]
-fn shipped_lint_toml_sets_the_bench_tolerance() {
-    // The workspace lint.toml ships a [bench] tolerance, and the CLI
-    // wrapper feeds it to bench-compare by default — pin both halves.
-    let root = xtask::workspace_root();
-    let text = fs::read_to_string(root.join("lint.toml")).expect("lint.toml");
-    let config = xtask::parse_config(&text).expect("config parses");
-    assert_eq!(config.bench_tolerance, Some(5.0));
-}
-
-#[test]
 fn shipped_baselines_are_self_consistent() {
     // The checked-in bench files must always pass the gate against
     // themselves — this is exactly the invariant CI relies on.
@@ -274,7 +190,7 @@ fn shipped_baselines_are_self_consistent() {
         let path = root.join(name);
         let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
         let flat = flatten_numbers(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let deltas = compare(&flat, &flat, "mops");
+        let deltas = compare(&flat, &flat);
         assert!(!deltas.is_empty(), "{name} has no mops keys");
         assert!(deltas.iter().all(|d| !d.regressed(0.0)), "{name}");
     }

@@ -13,7 +13,6 @@ fn everything_config(rel: &str) -> Config {
         skip: vec![],
         unsafe_allow: vec![],
         hot_path: vec![rel.to_string()],
-        counter_fields: vec!["freq".to_string()],
         no_relaxed_files: vec![rel.to_string()],
         protocol_files: vec![rel.to_string()],
         failpoint_allow: vec![],
@@ -21,7 +20,6 @@ fn everything_config(rel: &str) -> Config {
         obs_metrics_files: vec![],
         obs_trace_files: vec![],
         obs_call_site_files: vec![rel.to_string()],
-        bench_tolerance: None,
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,
@@ -74,8 +72,6 @@ fn comments_never_fire() {
 #[test]
 fn lookalike_identifiers_never_fire() {
     for src in [
-        // Word-boundary: counter field `freq` vs `frequency` / `freq_hint`.
-        "pub fn f(c: &mut C) { c.frequency += 1; c.freq_hint += 1; }",
         // `unwrap_or` is not `unwrap`; `expected` is not `expect`.
         "pub fn f(v: Option<u64>) -> u64 { v.unwrap_or(0) }",
         "pub fn f(e: &E) -> bool { e.expected() }",

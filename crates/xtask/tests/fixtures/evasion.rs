@@ -3,8 +3,8 @@
 //! comments, doc text, macro names that merely *resemble* banned calls,
 //! and `#[cfg(test)]` items. A substring-matching linter flags most of
 //! these; the syntax-aware engine must report this file clean under
-//! every rule at once (hot-path + counters + orderings + failpoints +
-//! atomic_io + obs call-site).
+//! every rule at once (hot-path + orderings + failpoints + atomic_io +
+//! obs call-site).
 
 // Comment bait: .unwrap() panic!("x") Ordering::Relaxed fail_point!("y")
 /* Block-comment bait: File::create(p), self.freq += 1, slots[i],
@@ -29,15 +29,6 @@ pub fn lookalike_macros(v: &[u64]) -> u64 {
     let total: u64 = v.iter().copied().sum();
     let _site = concat!("fail", "_point");
     total
-}
-
-pub struct NotACounter {
-    pub frequency: u64,
-}
-
-pub fn field_name_prefix(c: &mut NotACounter) {
-    // `frequency` merely starts with the counter field name `freq`.
-    c.frequency += 1;
 }
 
 #[cfg(test)]

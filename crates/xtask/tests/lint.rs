@@ -143,16 +143,6 @@ fn seeded_no_index_fails() {
 }
 
 #[test]
-fn seeded_counter_arith_fails() {
-    assert_seeded(
-        "counter",
-        include_str!("fixtures/counter_violation.rs"),
-        "[hot_path]\nfiles = [\"src/seeded.rs\"]\n[counters]\nfields = [\"freq\"]\n",
-        "counter_arith",
-    );
-}
-
-#[test]
 fn seeded_no_relaxed_fails() {
     assert_seeded(
         "relaxed",
@@ -236,7 +226,6 @@ fn seeded_evasion_corpus_passes() {
         root.join("lint.toml"),
         "[paths]\nroots = [\"src\"]\n\
          [hot_path]\nfiles = [\"src/seeded.rs\"]\n\
-         [counters]\nfields = [\"freq\"]\n\
          [orderings]\nno_relaxed_files = [\"src/seeded.rs\"]\n\
          [atomic_io]\nfiles = [\"src/seeded.rs\"]\n\
          [obs]\ncall_site_files = [\"src/seeded.rs\"]\n",

@@ -11,7 +11,6 @@ fn fixture_config() -> Config {
         skip: vec![],
         unsafe_allow: vec!["src/allowed_unsafe.rs".to_string()],
         hot_path: vec!["src/hot.rs".to_string()],
-        counter_fields: vec!["freq".to_string(), "persist".to_string()],
         no_relaxed_files: vec!["src/conc.rs".to_string()],
         protocol_files: vec!["src/protocol.rs".to_string()],
         failpoint_allow: vec!["src/failpoint.rs".to_string()],
@@ -19,7 +18,6 @@ fn fixture_config() -> Config {
         obs_metrics_files: vec!["src/metrics.rs".to_string()],
         obs_trace_files: vec!["src/trace.rs".to_string()],
         obs_call_site_files: vec!["src/hot.rs".to_string()],
-        bench_tolerance: None,
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,
@@ -63,13 +61,6 @@ fn no_index_fires_only_on_index_expressions() {
         vec![("no_index", 13), ("no_index", 19)],
         "full: {hits:?}"
     );
-}
-
-#[test]
-fn counter_arith_fires_on_counter_fields_only() {
-    let src = include_str!("fixtures/counter_violation.rs");
-    let hits = active_rules("src/hot.rs", src);
-    assert_eq!(hits, vec![("counter_arith", 11)]);
 }
 
 #[test]

@@ -17,9 +17,6 @@ allow = ["src/spsc.rs"]
 [hot_path]
 files = ["src/table.rs"]
 
-[counters]
-fields = ["freq", "persist"]
-
 [orderings]
 no_relaxed_files = ["src/spsc.rs"]
 protocol_files = ["src/spsc.rs"]
@@ -33,36 +30,14 @@ files = ["src/table.rs"]
 [obs]
 metrics_files = ["src/metrics.rs"]
 call_site_files = ["src/table.rs"]
-
-[bench]
-tolerance = 7.5
 "#;
 
 #[test]
 fn full_schema_parses() {
     let config = parse_config(GOOD).expect("valid config");
     assert_eq!(config.roots, vec!["src"]);
-    assert_eq!(config.counter_fields, vec!["freq", "persist"]);
     assert_eq!(config.obs_call_site_files, vec!["src/table.rs"]);
     assert_eq!(config.protocol_files, vec!["src/spsc.rs"]);
-    assert_eq!(config.bench_tolerance, Some(7.5));
-}
-
-#[test]
-fn bench_tolerance_rejects_non_numeric_and_negative_values() {
-    for bad in ["-1", "abc", "inf", "nan", "[5.0]"] {
-        let err = parse_config(&format!(
-            "[paths]\nroots = [\"src\"]\n[bench]\ntolerance = {bad}\n"
-        ))
-        .expect_err(bad);
-        assert!(err.contains("tolerance"), "`{bad}`: {err}");
-    }
-}
-
-#[test]
-fn bench_tolerance_is_optional() {
-    let config = parse_config("[paths]\nroots = [\"src\"]\n").expect("valid");
-    assert_eq!(config.bench_tolerance, None);
 }
 
 #[test]

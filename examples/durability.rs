@@ -52,7 +52,7 @@ fn main() {
         Checkpointer::new(&dir).expect("store"),
         DurabilityPolicy {
             interval: Duration::from_millis(20), // background tick cadence
-            full_every: 4,                       // compact after 4 deltas
+            max_chain_len: 4,                    // compact after 4 deltas
             ..DurabilityPolicy::default()
         },
     )
