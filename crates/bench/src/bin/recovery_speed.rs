@@ -17,6 +17,10 @@
 //! CI re-run (`xtask bench-compare` gates them all): a delta frame covers
 //! the same table as its base in a fraction of the time, so
 //! `delta_save_cells_mops` must sit far above `full_save_cells_mops`.
+//!
+//! Saves are timed as production makes them: `checkpoint_now` on a
+//! durability service, so each figure includes the hand-off to the
+//! service thread.
 
 use ltc_bench::scale;
 use ltc_common::Weights;
@@ -25,7 +29,7 @@ use ltc_core::durability::{DurabilityPolicy, DurabilityService};
 use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, Variant};
 use ltc_workloads::generator::zipf_samples;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Paper-scale workload: 4M Zipf(1.0) records over 50 periods.
@@ -111,6 +115,21 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A durability service on `p` that saves only when asked, into `dir`.
+/// `max_chain_len: 0` makes every frame full.
+fn saver(p: &ParallelLtc, dir: &Path, max_chain_len: u32) -> DurabilityService {
+    DurabilityService::attach(
+        p,
+        Checkpointer::new(dir).expect("store").keep_generations(64),
+        DurabilityPolicy {
+            interval: Duration::from_secs(3_600),
+            max_chain_len,
+            ..DurabilityPolicy::default()
+        },
+    )
+    .expect("durability service")
+}
+
 fn main() {
     let s = scale() as usize;
     let records = (RECORDS / s).max(PERIODS);
@@ -183,7 +202,7 @@ fn main() {
     // One table at the fixed geometry (frame cost is table-driven, see the
     // module doc); full saves re-snapshot everything, the delta save covers
     // only the buckets dirtied by a hot-key tail (deltas are cumulative, so
-    // repeating the measurement repeats identical work).
+    // every timed delta carries the same buckets).
     let save_config = LtcConfig::builder()
         .buckets(SAVE_BUCKETS)
         .cells_per_bucket(CELLS_PER_BUCKET)
@@ -196,12 +215,13 @@ fn main() {
     let mut p = ParallelLtc::with_batch_size(save_config, THREADS, BATCH);
     ingest(&mut p);
     let dir = scratch("saves");
-    let store = Checkpointer::new(&dir).expect("store").keep_generations(64);
 
     eprintln!("[run] full-frame save ({SAVE_BUCKETS}x{CELLS_PER_BUCKET} cells x {THREADS} shards)");
+    let full = saver(&p, &dir, 0);
     let full_secs = best_secs(|| {
-        std::hint::black_box(p.save_full_checkpoint(&store).expect("save"));
+        std::hint::black_box(full.checkpoint_now().expect("save"));
     });
+    drop(full);
     let full_save_cells_mops = mops(save_cells, full_secs);
     eprintln!(
         "       {:.2} ms -> {full_save_cells_mops:.2} cell-Mops",
@@ -211,16 +231,17 @@ fn main() {
     // Dirty only hot buckets mid-period — the shape of a real
     // between-checkpoints window (a period boundary would sweep the CLOCK
     // across the whole table and dirty most of it).
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let chained = saver(&p, &dir, 8);
+    let base_generation = chained.checkpoint_now().expect("base");
     for i in 0..HOT_TAIL {
         p.insert((i % 16) as u64);
     }
     p.sync().expect("no shard faults");
 
     eprintln!("[run] delta-frame save");
+    let mut delta_generation = 0;
     let delta_secs = best_secs(|| {
-        let mut probe = chain;
-        std::hint::black_box(p.save_delta_checkpoint(&store, &mut probe).expect("save"));
+        delta_generation = chained.checkpoint_now().expect("save");
     });
     let delta_save_cells_mops = mops(save_cells, delta_secs);
     eprintln!(
@@ -228,12 +249,12 @@ fn main() {
         delta_secs * 1e3
     );
 
-    // Leave a real chain on disk for the recovery measurement and compare
-    // the frame footprints from it.
-    let delta_generation = p
-        .save_delta_checkpoint(&store, &mut chain)
-        .expect("chained delta");
-    let full_frame_bytes = store.load(chain.base_generation).expect("base bytes").len() as u64;
+    // The newest delta and its base are the chain the recovery measurement
+    // restores; compare the frame footprints from it.
+    assert_eq!(chained.status().delta_saves, REPS as u64, "no compaction");
+    let store = chained.store().clone();
+    drop(chained);
+    let full_frame_bytes = store.load(base_generation).expect("base bytes").len() as u64;
     let delta_frame_bytes = store.load(delta_generation).expect("delta bytes").len() as u64;
 
     eprintln!("[run] crash recovery (base + delta)");

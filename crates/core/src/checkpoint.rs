@@ -34,8 +34,8 @@
 //!
 //! ## Atomic publication
 //!
-//! [`Checkpointer::save`] writes `prefix.NNN….tmp`, fsyncs it, then
-//! atomically renames it to `prefix.NNN….ckpt` (and fsyncs the directory):
+//! [`Checkpointer::save`] writes `ltc.NNN….tmp`, fsyncs it, then
+//! atomically renames it to `ltc.NNN….ckpt` (and fsyncs the directory):
 //! a crash leaves either the complete new generation or none — never a
 //! half-written `.ckpt`. Restore walks generations newest-first and takes
 //! the first frame that decodes cleanly, so even a corrupted published
@@ -56,12 +56,25 @@
 //! ([`CheckpointError::BrokenChain`]) and restore falls back a generation
 //! instead of reviving torn or mixed state. Periodic *compaction* (a fresh
 //! full frame) bounds chain length and lets old generations prune away.
+//!
+//! The [`DurabilityService`](crate::durability::DurabilityService) is the
+//! only writer of chains. Its full saves are the only calls that open a
+//! dirty epoch on a runtime's shards, and a runtime takes one service at a
+//! time ([`CheckpointError::AlreadyAttached`]), so nothing else can reset
+//! the epochs a live chain's deltas are counted from.
+//! [`ParallelLtc::to_checkpoint`] and [`ParallelLtc::checkpoint_to`] write
+//! plain full frames and leave the epochs alone.
+//!
+//! Restore decodes each frame once, against the runtime's fingerprint.
+//! Section 0 tells a delta from a full frame; a delta's base is loaded,
+//! checked against the chain CRC and decoded, and base and delta stage
+//! into shard clones together before anything commits.
 
 use crate::config::LtcConfig;
 use crate::failpoint::{io_fault, FailAction};
 use crate::obs::trace::names;
 use crate::obs::RuntimeObs;
-use crate::pipeline::ParallelLtc;
+use crate::pipeline::{lock_recover, ParallelLtc};
 use crate::sharded::ShardedLtc;
 use crate::snapshot::SnapshotError;
 use crate::table::Ltc;
@@ -134,6 +147,11 @@ pub enum CheckpointError {
     Io(String),
     /// No generation on disk survived validation.
     NoCheckpoint,
+    /// The runtime already has a live
+    /// [`DurabilityService`](crate::durability::DurabilityService): a
+    /// runtime takes one service at a time, since its shards' dirty epochs
+    /// can serve only one delta chain.
+    AlreadyAttached,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -167,6 +185,9 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::Io(e) => write!(f, "checkpoint I/O failed: {e}"),
             CheckpointError::NoCheckpoint => write!(f, "no valid checkpoint generation found"),
+            CheckpointError::AlreadyAttached => {
+                write!(f, "runtime already has a durability service")
+            }
         }
     }
 }
@@ -400,20 +421,19 @@ pub const DELTA_SECTION_MAGIC: &[u8; 4] = b"DLTA";
 const DELTA_SECTION_BYTES: usize = 20;
 
 /// Links a run of delta frames back to the full frame they are relative
-/// to. Returned by [`ParallelLtc::save_full_checkpoint`] and threaded
-/// through [`ParallelLtc::save_delta_checkpoint`]; the recorded CRC is of
-/// the base generation's *published file bytes*, so any post-publish
-/// tearing or reordering of the base invalidates every delta that points
-/// at it (restore then falls back a generation instead of applying a delta
-/// to the wrong base).
+/// to. Returned by [`save_full_over`] and threaded through
+/// [`save_delta_over`]; the recorded CRC is of the base generation's
+/// *published file bytes*, so any post-publish tearing or reordering of
+/// the base invalidates every delta that points at it (restore then falls
+/// back a generation instead of applying a delta to the wrong base).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaChain {
+pub(crate) struct DeltaChain {
     /// Generation number of the base full frame on disk.
-    pub base_generation: u64,
+    pub(crate) base_generation: u64,
     /// CRC-32 of the base generation's published frame bytes.
-    pub base_crc: u32,
+    pub(crate) base_crc: u32,
     /// Deltas published since the base (0 right after a full save).
-    pub length: u32,
+    pub(crate) length: u32,
 }
 
 /// Encode a delta-chain header section.
@@ -456,34 +476,39 @@ impl Ltc {
     /// # Errors
     /// See [`CheckpointError`].
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let expected = config_fingerprint(self.config());
-        let sections = decode_frame(bytes, expected)?;
-        let [section] = sections.as_slice() else {
-            return Err(CheckpointError::SectionCount {
-                expected: 1,
-                found: sections.len(),
-            });
-        };
-        let mut staged = self.clone();
-        staged.restore_snapshot(section)?;
-        *self = staged;
+        let sections = decode_frame(bytes, config_fingerprint(self.config()))?;
+        // One shard in, one staged table out.
+        if let Some(staged) = staged_restore(&[&*self], &sections, None)?.pop() {
+            *self = staged;
+        }
         Ok(())
     }
 }
 
-/// Stage a restore of `sections` into clones of `shards`, committing only
-/// if every section validates (all-or-nothing for multi-shard tables).
-fn staged_restore(shards: &[&Ltc], sections: &[&[u8]]) -> Result<Vec<Ltc>, CheckpointError> {
-    if sections.len() != shards.len() {
-        return Err(CheckpointError::SectionCount {
-            expected: shards.len(),
-            found: sections.len(),
-        });
+/// Stage a restore of `base` (one full section per shard) and, for a
+/// chain, `delta` (one `LTCD` section per shard) on top, into clones of
+/// `shards`. The caller commits only if every section validates
+/// (all-or-nothing for multi-shard tables).
+fn staged_restore(
+    shards: &[&Ltc],
+    base: &[&[u8]],
+    delta: Option<&[&[u8]]>,
+) -> Result<Vec<Ltc>, CheckpointError> {
+    for sections in std::iter::once(base).chain(delta) {
+        if sections.len() != shards.len() {
+            return Err(CheckpointError::SectionCount {
+                expected: shards.len(),
+                found: sections.len(),
+            });
+        }
     }
     let mut staged = Vec::with_capacity(shards.len());
-    for (shard, section) in shards.iter().zip(sections) {
+    for (i, (shard, section)) in shards.iter().zip(base).enumerate() {
         let mut table = (*shard).clone();
         table.restore_snapshot(section)?;
+        if let Some(section) = delta.and_then(|delta| delta.get(i)) {
+            table.apply_delta_snapshot(section)?;
+        }
         staged.push(table);
     }
     Ok(staged)
@@ -509,7 +534,7 @@ impl ShardedLtc {
         let expected = configs_fingerprint((0..self.num_shards()).map(|i| self.shard(i).config()));
         let sections = decode_frame(bytes, expected)?;
         let shards: Vec<&Ltc> = (0..self.num_shards()).map(|i| self.shard(i)).collect();
-        let staged = staged_restore(&shards, &sections)?;
+        let staged = staged_restore(&shards, &sections, None)?;
         *self = ShardedLtc::from_shards(staged);
         Ok(())
     }
@@ -522,54 +547,20 @@ impl ParallelLtc {
     /// with a [`ShardedLtc`] of the same configuration.
     pub fn to_checkpoint(&self) -> Vec<u8> {
         let _ = self.sync();
-        let tables = self.shard_tables();
-        let mut sections = Vec::with_capacity(tables.len());
-        let mut fingerprint_configs = Vec::with_capacity(tables.len());
-        for table in tables {
-            let guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            sections.push(guard.to_snapshot());
-            fingerprint_configs.push(*guard.config());
-        }
-        encode_frame(configs_fingerprint(fingerprint_configs.iter()), &sections)
+        encode_shards(self.shard_tables(), None, |shard| shard.to_snapshot())
     }
 
     /// Restore every shard from a checkpoint frame, all-or-nothing: the
-    /// pipeline is drained, the frame fully validated and staged, and only
-    /// then committed. Lossy shards are revived with a fresh worker and a
-    /// full retry budget (restoring is an operator-level reset).
+    /// frame is fully validated, the pipeline drained, the sections
+    /// staged, and only then committed. Lossy shards are revived with a
+    /// fresh worker and a full retry budget (restoring is an
+    /// operator-level reset).
     ///
     /// # Errors
     /// See [`CheckpointError`].
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let _ = self.sync(); // workers idle after this (all sends acked)
-        let staged = {
-            let tables = self.shard_tables();
-            let mut guards = Vec::with_capacity(tables.len());
-            for table in tables {
-                guards.push(match table.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                });
-            }
-            let configs: Vec<LtcConfig> = guards.iter().map(|g| *g.config()).collect();
-            let expected = configs_fingerprint(configs.iter());
-            let sections = decode_frame(bytes, expected)?;
-            let shards: Vec<&Ltc> = guards.iter().map(|g| &**g).collect();
-            staged_restore(&shards, &sections)?
-        };
-        let tables = self.shard_tables();
-        for (table, restored) in tables.iter().zip(staged) {
-            let mut guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = restored;
-        }
-        self.reset_after_restore();
-        Ok(())
+        let sections = decode_frame(bytes, self.fingerprint())?;
+        self.restore_sections(&sections, None)
     }
 
     /// Checkpoint into `store`, returning the new generation number.
@@ -619,10 +610,11 @@ impl ParallelLtc {
         let trace = self.trace_handle();
         let pending = trace.as_ref().map(|(track, _)| track.begin(None));
         let start = std::time::Instant::now();
+        let fingerprint = self.fingerprint();
         let mut skipped = 0u64;
         let mut outcome = Err(CheckpointError::NoCheckpoint);
         for generation in store.generations()?.into_iter().rev() {
-            match self.try_restore_generation(store, generation) {
+            match self.try_restore_generation(store, generation, fingerprint) {
                 Ok(()) => {
                     if let Some(obs) = obs {
                         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -647,16 +639,20 @@ impl ParallelLtc {
         outcome
     }
 
-    /// Restore one generation: route a delta frame through its chain, a
-    /// full frame straight in.
+    /// Restore one generation, decoding each frame once against this
+    /// runtime's `fingerprint`: a full frame goes straight in; a delta
+    /// frame (section 0 is a `DLTA` header) goes in on top of its base,
+    /// whose published bytes must match the chain CRC.
     fn try_restore_generation(
         &mut self,
         store: &Checkpointer,
         generation: u64,
+        fingerprint: u64,
     ) -> Result<(), CheckpointError> {
         let bytes = store.load(generation)?;
-        let Some(chain) = peek_delta(&bytes) else {
-            return self.restore_checkpoint(&bytes);
+        let sections = decode_frame(&bytes, fingerprint)?;
+        let Some(chain) = sections.first().and_then(|s| decode_delta_header(s)) else {
+            return self.restore_sections(&sections, None);
         };
         let broken = CheckpointError::BrokenChain {
             delta: generation,
@@ -668,140 +664,98 @@ impl ParallelLtc {
         if crc32(&base_bytes) != chain.base_crc {
             return Err(broken);
         }
-        self.restore_chained(&base_bytes, &bytes)
+        let base = decode_frame(&base_bytes, fingerprint)?;
+        self.restore_sections(&base, sections.get(1..))
     }
 
-    /// Restore base-then-delta, all-or-nothing: both frames fully validate
-    /// against this runtime's configuration and stage into shard clones
-    /// before anything commits.
-    fn restore_chained(&mut self, base: &[u8], delta: &[u8]) -> Result<(), CheckpointError> {
+    /// Fingerprint of the runtime's ordered shard configurations.
+    fn fingerprint(&self) -> u64 {
+        let configs: Vec<LtcConfig> = self
+            .shard_tables()
+            .iter()
+            .map(|table| *lock_recover(table).config())
+            .collect();
+        configs_fingerprint(&configs)
+    }
+
+    /// Drain the pipeline, stage `base` (and `delta` on top, for a chain)
+    /// into shard clones, and commit only once every section validated.
+    fn restore_sections(
+        &mut self,
+        base: &[&[u8]],
+        delta: Option<&[&[u8]]>,
+    ) -> Result<(), CheckpointError> {
         let _ = self.sync(); // workers idle after this (all sends acked)
         let staged = {
-            let tables = self.shard_tables();
-            let mut guards = Vec::with_capacity(tables.len());
-            for table in tables {
-                guards.push(match table.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                });
-            }
-            let configs: Vec<LtcConfig> = guards.iter().map(|g| *g.config()).collect();
-            let expected = configs_fingerprint(configs.iter());
-            let base_sections = decode_frame(base, expected)?;
-            let delta_sections = decode_frame(delta, expected)?;
-            // A delta frame is the DLTA header plus one LTCD per shard; the
-            // base must be a plain full frame (one LTC1 per shard).
-            let payloads = delta_sections.get(1..).unwrap_or(&[]);
-            if base_sections.len() != guards.len() || payloads.len() != guards.len() {
-                return Err(CheckpointError::SectionCount {
-                    expected: guards.len(),
-                    found: payloads.len(),
-                });
-            }
-            let mut staged = Vec::with_capacity(guards.len());
-            for ((guard, base_section), delta_section) in
-                guards.iter().zip(&base_sections).zip(payloads)
-            {
-                let mut table = (**guard).clone();
-                table.restore_snapshot(base_section)?;
-                table.apply_delta_snapshot(delta_section)?;
-                staged.push(table);
-            }
-            staged
+            let guards: Vec<_> = self
+                .shard_tables()
+                .iter()
+                .map(|t| lock_recover(t))
+                .collect();
+            let shards: Vec<&Ltc> = guards.iter().map(|guard| &**guard).collect();
+            staged_restore(&shards, base, delta)?
         };
-        let tables = self.shard_tables();
-        for (table, restored) in tables.iter().zip(staged) {
-            let mut guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = restored;
+        for (table, restored) in self.shard_tables().iter().zip(staged) {
+            *lock_recover(table) = restored;
         }
         self.reset_after_restore();
         Ok(())
     }
-
-    /// Serialise every shard as a full checkpoint frame *and open a new
-    /// dirty epoch* per shard (atomically with each shard's snapshot read,
-    /// under its lock), publish it to `store`, and return the chain state
-    /// future deltas link against.
-    ///
-    /// If the publish fails the epochs are already cleared, so the caller
-    /// must not fall back to delta saves until a full save succeeds (the
-    /// [`crate::durability::DurabilityService`] enforces this); a full
-    /// frame never depends on the dirty state, so retrying the full save
-    /// loses nothing.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] if the write or rename fails.
-    pub fn save_full_checkpoint(
-        &self,
-        store: &Checkpointer,
-    ) -> Result<DeltaChain, CheckpointError> {
-        let _ = self.sync();
-        save_full_over(
-            self.shard_tables(),
-            self.obs().map(Arc::as_ref),
-            store,
-            "checkpoint::write",
-            false,
-        )
-    }
-
-    /// Serialise only the buckets dirtied since `chain`'s base full frame
-    /// (cumulative — the newest delta alone reconstructs the table on top
-    /// of the base) and publish it to `store`. On success the chain's
-    /// length grows by one.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] if the write or rename fails (the chain is
-    /// left unchanged — a later retry simply carries the same buckets).
-    pub fn save_delta_checkpoint(
-        &self,
-        store: &Checkpointer,
-        chain: &mut DeltaChain,
-    ) -> Result<u64, CheckpointError> {
-        let _ = self.sync();
-        save_delta_over(
-            self.shard_tables(),
-            self.obs().map(Arc::as_ref),
-            store,
-            chain,
-        )
-    }
 }
 
-/// [`ParallelLtc::save_full_checkpoint`] over bare shard handles, with the
-/// failpoint site and observability flavour (initial/periodic full vs
-/// compaction) chosen by the caller. This is what the background
-/// [`crate::durability::DurabilityService`] runs: it holds clones of the
-/// shard `Arc`s (whose identity survives restore) rather than the runtime
+/// Lock each shard in turn, take its section with `section` under that
+/// lock, and encode the sections after `head` (a delta frame's `DLTA`
+/// header) as one frame fingerprinted over the shards' configurations.
+/// Every frame a runtime writes is built here.
+fn encode_shards(
+    tables: &[Arc<Mutex<Ltc>>],
+    head: Option<Vec<u8>>,
+    mut section: impl FnMut(&mut Ltc) -> Vec<u8>,
+) -> Vec<u8> {
+    let mut sections: Vec<Vec<u8>> = head.into_iter().collect();
+    let mut configs = Vec::with_capacity(tables.len());
+    for table in tables {
+        let mut shard = lock_recover(table);
+        sections.push(section(&mut shard));
+        configs.push(*shard.config());
+    }
+    encode_frame(configs_fingerprint(&configs), &sections)
+}
+
+/// Serialise every shard as a full frame *and open a new dirty epoch* per
+/// shard (atomically with each shard's snapshot, under its lock), publish
+/// it to `store`, and return the chain state future deltas link against.
+/// A `compaction` publishes on the `checkpoint::compact` failpoint site
+/// and is observed as one; any other full save uses `checkpoint::write`.
+///
+/// Only the [`crate::durability::DurabilityService`] calls this, so a
+/// runtime's dirty epochs have one writer. It holds clones of the shard
+/// `Arc`s (whose identity survives restore) rather than the runtime
 /// itself, and deliberately does **not** drain the pipeline — in-flight
 /// records simply aren't acknowledged into this frame and land in the
-/// next one.
+/// next one. If the publish fails the epochs are already cleared, so the
+/// caller must not fall back to delta saves until a full save succeeds; a
+/// full frame never depends on the dirty state, so a retry loses nothing.
 pub(crate) fn save_full_over(
     tables: &[Arc<Mutex<Ltc>>],
     obs: Option<&RuntimeObs>,
     store: &Checkpointer,
-    site: &str,
     compaction: bool,
 ) -> Result<DeltaChain, CheckpointError> {
     let start = std::time::Instant::now();
-    let mut sections = Vec::with_capacity(tables.len());
-    let mut fingerprint_configs = Vec::with_capacity(tables.len());
-    for table in tables {
-        let mut guard = match table.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Snapshot and epoch-open under the same lock: every mutation
-        // after this instant lands in the next delta, every mutation
-        // before it is in this frame — no gap, no overlap.
-        sections.push(guard.to_snapshot());
-        guard.begin_delta_epoch();
-        fingerprint_configs.push(*guard.config());
-    }
-    let frame = encode_frame(configs_fingerprint(fingerprint_configs.iter()), &sections);
+    // Snapshot and epoch-open under the same lock: every mutation after
+    // this instant lands in the next delta, every mutation before it is in
+    // this frame — no gap, no overlap.
+    let frame = encode_shards(tables, None, |shard| {
+        let snapshot = shard.to_snapshot();
+        shard.begin_delta_epoch();
+        snapshot
+    });
+    let site = if compaction {
+        "checkpoint::compact"
+    } else {
+        "checkpoint::write"
+    };
     let generation = store.save_with_site(&frame, site)?;
     if let Some(obs) = obs {
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -819,8 +773,11 @@ pub(crate) fn save_full_over(
     })
 }
 
-/// [`ParallelLtc::save_delta_checkpoint`] over bare shard handles — see
-/// [`save_full_over`] for why the durability service uses this form.
+/// Serialise only the buckets dirtied since `chain`'s base full frame
+/// (cumulative — the newest delta alone reconstructs the table on top of
+/// the base) and publish it to `store`. On success the chain's length
+/// grows by one; on failure it is unchanged, and a retry carries the same
+/// buckets. See [`save_full_over`] for the locking and draining contract.
 pub(crate) fn save_delta_over(
     tables: &[Arc<Mutex<Ltc>>],
     obs: Option<&RuntimeObs>,
@@ -828,21 +785,11 @@ pub(crate) fn save_delta_over(
     chain: &mut DeltaChain,
 ) -> Result<u64, CheckpointError> {
     let start = std::time::Instant::now();
-    let mut sections = Vec::with_capacity(tables.len().saturating_add(1));
-    let mut fingerprint_configs = Vec::with_capacity(tables.len());
-    sections.push(encode_delta_header(&DeltaChain {
+    let header = encode_delta_header(&DeltaChain {
         length: chain.length.saturating_add(1),
         ..*chain
-    }));
-    for table in tables {
-        let guard = match table.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        sections.push(guard.to_delta_snapshot());
-        fingerprint_configs.push(*guard.config());
-    }
-    let frame = encode_frame(configs_fingerprint(fingerprint_configs.iter()), &sections);
+    });
+    let frame = encode_shards(tables, Some(header), |shard| shard.to_delta_snapshot());
     let generation = store.save_with_site(&frame, "checkpoint::delta_write")?;
     chain.length = chain.length.saturating_add(1);
     if let Some(obs) = obs {
@@ -852,28 +799,21 @@ pub(crate) fn save_delta_over(
     Ok(generation)
 }
 
-/// Structurally parse `bytes` as a delta frame: a frame that decodes
-/// against its *own stored* fingerprint (magic, version, flags, CRC and
-/// section structure all validate — configuration is checked later by the
-/// restore proper) whose first section is a DLTA chain header.
-fn peek_delta(bytes: &[u8]) -> Option<DeltaChain> {
-    let fingerprint = read_u64(bytes, 8)?;
-    let sections = decode_frame(bytes, fingerprint).ok()?;
-    decode_delta_header(sections.first()?)
-}
-
 // ---------------------------------------------------------------------------
 // Checkpointer — atomic generation files on disk.
 
+/// File-name prefix of every generation: `ltc.<generation:020>.ckpt`.
+const FILE_PREFIX: &str = "ltc";
+
 /// Writes checkpoint frames to a directory as numbered generations
-/// (`<prefix>.<generation>.ckpt`), each published atomically (temp file +
+/// (`ltc.<generation>.ckpt`), each published atomically (temp file +
 /// fsync + rename + directory fsync), pruned to the newest `keep`
-/// generations. Restore helpers walk generations newest-first so a
-/// corrupted latest image falls back to the previous one.
+/// generations. [`ParallelLtc::restore_from`] walks generations
+/// newest-first so a corrupted latest image falls back to the previous
+/// one.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     dir: PathBuf,
-    prefix: String,
     keep: usize,
 }
 
@@ -886,19 +826,7 @@ impl Checkpointer {
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&e))?;
-        Ok(Self {
-            dir,
-            prefix: "ltc".to_string(),
-            keep: 3,
-        })
-    }
-
-    /// Use `prefix` for checkpoint file names (several checkpointers can
-    /// share a directory under distinct prefixes).
-    #[must_use]
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
-        self
+        Ok(Self { dir, keep: 3 })
     }
 
     /// Keep the newest `keep` generations (≥ 2 recommended: fallback needs
@@ -909,14 +837,9 @@ impl Checkpointer {
         self
     }
 
-    /// The directory this checkpointer writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_for(&self, generation: u64) -> PathBuf {
         self.dir
-            .join(format!("{}.{generation:020}.ckpt", self.prefix))
+            .join(format!("{FILE_PREFIX}.{generation:020}.ckpt"))
     }
 
     /// Generation numbers currently on disk, oldest first.
@@ -930,7 +853,7 @@ impl Checkpointer {
             let entry = entry.map_err(|e| io_err(&e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(self.prefix.as_str()) else {
+            let Some(rest) = name.strip_prefix(FILE_PREFIX) else {
                 continue;
             };
             let Some(middle) = rest.strip_prefix('.') else {
@@ -988,27 +911,6 @@ impl Checkpointer {
         self.write_atomic(&self.path_for(generation), frame, site)?;
         self.prune()?;
         Ok(generation)
-    }
-
-    /// Restore via `try_restore`, walking generations newest-first and
-    /// returning the first generation it accepts. Unreadable or rejected
-    /// images are skipped (that is the crash-fallback path).
-    ///
-    /// # Errors
-    /// [`CheckpointError::NoCheckpoint`] if every generation is rejected.
-    pub fn restore_with(
-        &self,
-        mut try_restore: impl FnMut(&[u8]) -> Result<(), CheckpointError>,
-    ) -> Result<u64, CheckpointError> {
-        for generation in self.generations()?.into_iter().rev() {
-            let Ok(bytes) = self.load(generation) else {
-                continue;
-            };
-            if try_restore(&bytes).is_ok() {
-                return Ok(generation);
-            }
-        }
-        Err(CheckpointError::NoCheckpoint)
     }
 
     /// All checkpoint I/O funnels through here: write the temp file, fsync
@@ -1072,8 +974,11 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultPolicy;
+    use crate::durability::{DurabilityPolicy, DurabilityService};
     use ltc_common::{SignificanceQuery, StreamProcessor, Weights};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     /// Unique scratch directory, removed on drop. No external tempdir
     /// crate: process id + a counter keep parallel tests apart.
@@ -1108,6 +1013,20 @@ mod tests {
             .records_per_period(50)
             .seed(11)
             .build()
+    }
+
+    /// A full save through the durability service's saver, after draining
+    /// the pipeline so the frame covers every record sent.
+    fn save_full(live: &ParallelLtc, store: &Checkpointer) -> DeltaChain {
+        live.sync().unwrap();
+        save_full_over(live.shard_tables(), None, store, false).unwrap()
+    }
+
+    /// A delta save through the service's saver, after draining the
+    /// pipeline.
+    fn save_delta(live: &ParallelLtc, store: &Checkpointer, chain: &mut DeltaChain) -> u64 {
+        live.sync().unwrap();
+        save_delta_over(live.shard_tables(), None, store, chain).unwrap()
     }
 
     fn loaded_table() -> Ltc {
@@ -1324,40 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_falls_back_past_corrupted_generation() {
-        let scratch = ScratchDir::new("fallback");
-        let store = Checkpointer::new(scratch.path()).unwrap();
-        let good = loaded_table();
-        store.save(&good.to_checkpoint()).unwrap();
-        // Generation 2 is torn: a valid frame prefix, as a crash that beat
-        // the atomic rename discipline would leave (simulated directly).
-        let torn = good.to_checkpoint();
-        store.save(&torn[..torn.len() / 2]).unwrap();
-        let mut restored = Ltc::new(config());
-        let generation = store
-            .restore_with(|bytes| restored.restore_checkpoint(bytes))
-            .unwrap();
-        assert_eq!(generation, 1, "fell back to the previous generation");
-        assert_eq!(restored.top_k(5), good.top_k(5));
-    }
-
-    #[test]
-    fn restore_with_no_valid_generation_errors() {
-        let scratch = ScratchDir::new("empty");
-        let store = Checkpointer::new(scratch.path()).unwrap();
-        let mut table = Ltc::new(config());
-        assert_eq!(
-            store.restore_with(|bytes| table.restore_checkpoint(bytes)),
-            Err(CheckpointError::NoCheckpoint)
-        );
-        store.save(b"garbage").unwrap();
-        assert_eq!(
-            store.restore_with(|bytes| table.restore_checkpoint(bytes)),
-            Err(CheckpointError::NoCheckpoint)
-        );
-    }
-
-    #[test]
     fn distinct_configs_have_distinct_fingerprints() {
         let base = config();
         let mut seed = base;
@@ -1403,6 +1288,7 @@ mod tests {
             CheckpointError::Io("disk on fire".to_string()),
             CheckpointError::NoCheckpoint,
             CheckpointError::BrokenChain { delta: 4, base: 2 },
+            CheckpointError::AlreadyAttached,
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());
@@ -1440,7 +1326,7 @@ mod tests {
             live.insert(i % 30);
         }
         live.end_period().unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         assert_eq!(chain.base_generation, 1);
         assert_eq!(chain.length, 0);
         // Two deltas: the second is cumulative, so restore only needs the
@@ -1448,11 +1334,11 @@ mod tests {
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 19 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 23 });
         }
-        let generation = live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        let generation = save_delta(&live, &store, &mut chain);
         assert_eq!(generation, 3);
         assert_eq!(chain.length, 2);
         let expected = live.to_checkpoint();
@@ -1482,19 +1368,19 @@ mod tests {
         }
         live.end_period().unwrap();
         // Chain 1: full gen 1 + delta gen 2.
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 19 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         let expected_at_2 = live.to_checkpoint();
         // Chain 2: full gen 3 (compaction) + delta gen 4.
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         assert_eq!(chain.base_generation, 3);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 11 } else { 23 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         // Tear the *base* of the newest chain after publication (a dying
         // disk, not a torn rename): gen 4's header CRC no longer matches,
         // so the whole newest chain must be abandoned, landing on gen 2
@@ -1524,11 +1410,11 @@ mod tests {
             live.insert(i % 20);
         }
         live.end_period().unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         for i in 0..50u64 {
             live.insert(i % 5);
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         std::fs::remove_file(scratch.path().join(format!("ltc.{:020}.ckpt", 1))).unwrap();
         let mut restored = ParallelLtc::with_batch_size(config(), 2, 8);
         // The delta survives on disk but its base is gone: nothing left to
@@ -1550,13 +1436,13 @@ mod tests {
         live.end_period().unwrap();
         let scratch = ScratchDir::new("delta-size");
         let store = Checkpointer::new(scratch.path()).unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         // A hot-key phase touches few buckets; the delta should carry only
         // those.
         for _ in 0..100u64 {
             live.insert(7);
         }
-        let generation = live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        let generation = save_delta(&live, &store, &mut chain);
         let full = store.load(chain.base_generation).unwrap();
         let delta = store.load(generation).unwrap();
         assert!(
@@ -1565,6 +1451,63 @@ mod tests {
             delta.len(),
             full.len()
         );
+        live.finish().unwrap();
+    }
+
+    #[test]
+    fn restore_skips_foreign_and_garbage_generations() {
+        let scratch = ScratchDir::new("skip-rules");
+        let mut live = ParallelLtc::with_batch_size(config(), 2, 8);
+        for i in 0..400u64 {
+            live.insert(i % 30);
+        }
+        live.end_period().unwrap();
+        live.sync().unwrap();
+        let policy = DurabilityPolicy {
+            interval: Duration::from_secs(3_600),
+            faults: FaultPolicy::no_backoff(),
+            ..DurabilityPolicy::default()
+        };
+        let service =
+            DurabilityService::attach(&live, Checkpointer::new(scratch.path()).unwrap(), policy)
+                .unwrap();
+        assert_eq!(service.checkpoint_now().unwrap(), 1, "full");
+        for i in 0..100u64 {
+            live.insert(if i % 2 == 0 { 7 } else { 19 });
+        }
+        live.sync().unwrap();
+        assert_eq!(service.checkpoint_now().unwrap(), 2, "delta");
+        let expected = live.to_checkpoint();
+        drop(service);
+        // Two newer generations restore must skip: a sound frame from a
+        // runtime with another seed, and bytes that are no frame at all.
+        let store = Checkpointer::new(scratch.path())
+            .unwrap()
+            .keep_generations(8);
+        let mut other = config();
+        other.seed = other.seed.wrapping_add(1);
+        let foreign = ParallelLtc::with_batch_size(other, 2, 8);
+        assert_eq!(store.save(&foreign.to_checkpoint()).unwrap(), 3);
+        assert_eq!(store.save(b"garbage").unwrap(), 4);
+        let mut restored = ParallelLtc::with_batch_size(config(), 2, 8);
+        assert_eq!(restored.restore_from(&store).unwrap(), 2);
+        assert_eq!(restored.to_checkpoint(), expected);
+        let obs = restored.obs().unwrap();
+        assert_eq!(obs.checkpoint_fallbacks.get(), 2, "generations 4 and 3");
+        assert_eq!(obs.chain_fallbacks.get(), 0, "neither was a broken chain");
+        // An empty store, and one holding only garbage, restore nothing.
+        let bare = ScratchDir::new("skip-rules-bare");
+        let garbage = Checkpointer::new(bare.path()).unwrap();
+        assert_eq!(
+            restored.restore_from(&garbage),
+            Err(CheckpointError::NoCheckpoint)
+        );
+        garbage.save(b"garbage").unwrap();
+        assert_eq!(
+            restored.restore_from(&garbage),
+            Err(CheckpointError::NoCheckpoint)
+        );
+        restored.finish().unwrap();
         live.finish().unwrap();
     }
 }

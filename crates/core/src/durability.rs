@@ -6,12 +6,21 @@
 //! checkpoint restore) and, on its own thread, periodically publishes
 //! checkpoint frames through a [`Checkpointer`]:
 //!
-//! * the first frame — and every *compaction* — is a **full** frame
-//!   ([`ParallelLtc::save_full_checkpoint`] semantics): each shard's
-//!   complete snapshot, which also opens a fresh dirty epoch per shard;
+//! * the first frame — and every *compaction* — is a **full** frame: each
+//!   shard's complete snapshot, which also opens a fresh dirty epoch per
+//!   shard;
 //! * frames in between are **delta** frames carrying only the buckets
 //!   dirtied since the chain's base full frame, linked to it by the
 //!   `DLTA` chain header's base CRC (see [`crate::checkpoint`]).
+//!
+//! The service is the only writer of delta chains: no other code opens a
+//! dirty epoch on a runtime's shards. A runtime takes one service at a
+//! time — [`DurabilityService::attach`] refuses a second one with
+//! [`CheckpointError::AlreadyAttached`] until the first is stopped or
+//! dropped — because a second writer would reset the epochs the first
+//! one's deltas are counted from, and those deltas would silently miss
+//! buckets. [`ParallelLtc::restore_from`] reads the chains back, decoding
+//! each frame once.
 //!
 //! Snapshots are taken under each shard's lock — a brief pause per shard,
 //! not a pipeline drain. Records still in flight through the SPSC queues
@@ -57,6 +66,7 @@ use crate::obs::trace::{names, TraceTrack};
 use crate::obs::RuntimeObs;
 use crate::pipeline::ParallelLtc;
 use crate::table::Ltc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -143,6 +153,8 @@ pub struct DurabilityService {
     status: Arc<Mutex<DurabilityStatus>>,
     store: Arc<Checkpointer>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// The runtime's one-service flag, lowered when the thread is joined.
+    attached: Arc<AtomicBool>,
 }
 
 impl DurabilityService {
@@ -154,12 +166,21 @@ impl DurabilityService {
     /// later [`ParallelLtc::restore_from`], after stopping the service).
     ///
     /// # Errors
-    /// [`CheckpointError::Io`] if the service thread cannot be spawned.
+    /// [`CheckpointError::AlreadyAttached`] while another service on
+    /// `runtime` is alive; [`CheckpointError::Io`] if the service thread
+    /// cannot be spawned.
     pub fn attach(
         runtime: &ParallelLtc,
         store: Checkpointer,
         policy: DurabilityPolicy,
     ) -> Result<Self, CheckpointError> {
+        // The swap's Acquire pairs with the Release store in `stop`, which
+        // follows the join: a new service starts after the old thread's
+        // last save has finished.
+        let attached = Arc::clone(runtime.durability_flag());
+        if attached.swap(true, Ordering::AcqRel) {
+            return Err(CheckpointError::AlreadyAttached);
+        }
         let min_keep = (policy.max_chain_len as usize)
             .saturating_add(1)
             .saturating_mul(2);
@@ -190,12 +211,16 @@ impl DurabilityService {
         let handle = std::thread::Builder::new()
             .name("ltc-durability".to_string())
             .spawn(move || worker.run())
-            .map_err(|e| CheckpointError::Io(e.to_string()))?;
+            .map_err(|e| {
+                attached.store(false, Ordering::Release);
+                CheckpointError::Io(e.to_string())
+            })?;
         Ok(Self {
             control,
             status,
             store,
             handle: Some(handle),
+            attached,
         })
     }
 
@@ -251,9 +276,9 @@ impl DurabilityService {
         &self.store
     }
 
-    /// Signal the service to stop and join its thread. Idempotent; also
-    /// runs on drop. Blocked [`Self::checkpoint_now`] callers are released
-    /// with an error.
+    /// Signal the service to stop and join its thread, after which the
+    /// runtime takes a new service. Idempotent; also runs on drop. Blocked
+    /// [`Self::checkpoint_now`] callers are released with an error.
     pub fn stop(&mut self) {
         {
             let (lock, cvar) = &*self.control;
@@ -266,6 +291,7 @@ impl DurabilityService {
         }
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
+            self.attached.store(false, Ordering::Release);
         }
     }
 }
@@ -430,24 +456,14 @@ impl Worker {
                 Ok(generation)
             }
             _ => {
-                let site = if compact {
-                    "checkpoint::compact"
-                } else {
-                    "checkpoint::write"
-                };
                 let span_name = if compact {
                     names::COMPACTION
                 } else {
                     names::CHECKPOINT_SAVE
                 };
                 let _span = self.trace.as_ref().map(|t| t.span(span_name, None));
-                let result = save_full_over(
-                    &self.shards,
-                    self.obs.as_deref(),
-                    &self.store,
-                    site,
-                    compact,
-                );
+                let result =
+                    save_full_over(&self.shards, self.obs.as_deref(), &self.store, compact);
                 match result {
                     Ok(chain) => {
                         let generation = chain.base_generation;
@@ -671,6 +687,38 @@ mod tests {
         assert!(matches!(
             service.checkpoint_now(),
             Err(CheckpointError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn one_service_per_runtime() {
+        let first_dir = ScratchDir::new("one-first");
+        let second_dir = ScratchDir::new("one-second");
+        let runtime = ParallelLtc::with_batch_size(config(), 1, 8);
+        let attach = |dir: &ScratchDir| {
+            DurabilityService::attach(
+                &runtime,
+                Checkpointer::new(dir.path()).unwrap(),
+                manual_policy(),
+            )
+        };
+        let mut first = attach(&first_dir).unwrap();
+        first.checkpoint_now().unwrap();
+        // A second writer would reopen the dirty epochs under the first
+        // service's chain.
+        assert!(matches!(
+            attach(&second_dir),
+            Err(CheckpointError::AlreadyAttached)
+        ));
+        first.stop();
+        let second = attach(&second_dir).unwrap();
+        assert_eq!(second.checkpoint_now().unwrap(), 1);
+        // Dropping the already-stopped first service leaves the second
+        // one's claim in place.
+        drop(first);
+        assert!(matches!(
+            attach(&first_dir),
+            Err(CheckpointError::AlreadyAttached)
         ));
     }
 

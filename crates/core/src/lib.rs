@@ -73,7 +73,7 @@ pub mod table;
 pub mod window;
 
 pub use cell::Cell;
-pub use checkpoint::{CheckpointError, Checkpointer, DeltaChain};
+pub use checkpoint::{CheckpointError, Checkpointer};
 pub use clock::ClockPointer;
 pub use config::{FaultPolicy, LtcConfig, LtcConfigBuilder, PeriodMode, Variant};
 pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus, OnFault};

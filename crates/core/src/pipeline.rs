@@ -73,6 +73,7 @@ use ltc_common::{
     top_k_of, BatchStreamProcessor, Estimate, ItemId, MemoryUsage, SignificanceQuery,
     StreamProcessor,
 };
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -272,7 +273,7 @@ impl ShardHealth {
 /// Poison-tolerant lock. A worker that panicked is surfaced by the typed
 /// fault path (its queue is poisoned and its barrier marked dead) — not by
 /// cascading poison panics through every query path.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -456,6 +457,9 @@ pub struct ParallelLtc {
     /// Checkpoint restores performed (feeds the auditor's rollback drift
     /// signal alongside the per-lane restart counts).
     restores: u64,
+    /// Set while a [`DurabilityService`](crate::durability::DurabilityService)
+    /// is attached: the shards' dirty epochs serve one delta chain.
+    durability: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for ParallelLtc {
@@ -942,6 +946,7 @@ impl ParallelLtc {
             auditor,
             periods: 0,
             restores: 0,
+            durability: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -1281,6 +1286,11 @@ impl ParallelLtc {
     /// Shared access to the shard tables for the checkpoint layer.
     pub(crate) fn shard_tables(&self) -> &[Arc<Mutex<Ltc>>] {
         &self.shards
+    }
+
+    /// The flag a live durability service holds up (one per runtime).
+    pub(crate) fn durability_flag(&self) -> &Arc<AtomicBool> {
+        &self.durability
     }
 
     /// Router trace track plus the context of the most recent barrier

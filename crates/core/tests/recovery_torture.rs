@@ -94,6 +94,23 @@ fn manual_policy() -> DurabilityPolicy {
     }
 }
 
+/// [`manual_policy`] without retries: a failed save surfaces from the
+/// `checkpoint_now` that ran it.
+fn strict_policy() -> DurabilityPolicy {
+    DurabilityPolicy {
+        faults: FaultPolicy {
+            max_restarts: 0,
+            ..FaultPolicy::no_backoff()
+        },
+        ..manual_policy()
+    }
+}
+
+/// A service on `p` publishing into the store at `path`.
+fn service_at(p: &ParallelLtc, path: &Path, policy: DurabilityPolicy) -> DurabilityService {
+    DurabilityService::attach(p, store_at(path), policy).expect("one service per runtime")
+}
+
 /// The deterministic record batch for round `r`: a skewed mix so deltas
 /// stay small (hot ids) on top of a varied base (round-scoped ids).
 fn ingest_round(p: &mut ParallelLtc, r: u64) {
@@ -129,18 +146,22 @@ fn reference_frame(upto: u64) -> Vec<u8> {
 fn fsync_failure_surfaces_as_error_and_publishes_nothing() {
     let _guard = scenario();
     let scratch = ScratchDir::new("fsync");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
+    let service = service_at(&p, scratch.path(), strict_policy());
     failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::once());
-    let err = p
-        .save_full_checkpoint(&store)
+    let err = service
+        .checkpoint_now()
         .expect_err("failed fsync must not look like success");
     assert!(matches!(err, CheckpointError::Io(_)), "got: {err:?}");
     failpoint::clear();
     // Nothing published, no temp litter: the store is as if the save never
     // happened.
-    assert_eq!(store.latest().unwrap(), None, "no generation published");
+    assert_eq!(
+        service.store().latest().unwrap(),
+        None,
+        "no generation published"
+    );
     let leftovers: Vec<_> = std::fs::read_dir(scratch.path())
         .unwrap()
         .filter_map(|e| e.ok())
@@ -148,8 +169,8 @@ fn fsync_failure_surfaces_as_error_and_publishes_nothing() {
         .collect();
     assert!(leftovers.is_empty(), "leftovers: {leftovers:?}");
     // The very next save (fsync healthy again) publishes generation 1.
-    let chain = p.save_full_checkpoint(&store).expect("healthy save");
-    assert_eq!(chain.base_generation, 1);
+    assert_eq!(service.checkpoint_now().expect("healthy save"), 1);
+    drop(service);
     p.finish().expect("healthy");
 }
 
@@ -157,28 +178,33 @@ fn fsync_failure_surfaces_as_error_and_publishes_nothing() {
 fn rename_failure_aborts_between_write_and_publish() {
     let _guard = scenario();
     let scratch = ScratchDir::new("rename");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = service_at(&p, scratch.path(), strict_policy());
+    service.checkpoint_now().expect("base");
     ingest_round(&mut p, 1);
     // The delta's temp file is fully written and fsynced, but the crash
     // lands before the rename: the store must still only hold the base.
     failpoint::configure("checkpoint::rename", FailAction::Error, FireSpec::once());
-    let err = p
-        .save_delta_checkpoint(&store, &mut chain)
+    let err = service
+        .checkpoint_now()
         .expect_err("failed rename must not look like success");
     assert!(matches!(err, CheckpointError::Io(_)), "got: {err:?}");
     failpoint::clear();
-    assert_eq!(chain.length, 0, "failed delta did not extend the chain");
-    assert_eq!(store.generations().unwrap(), vec![1]);
+    assert_eq!(
+        service.status().chain_length,
+        0,
+        "failed delta did not extend the chain"
+    );
+    assert_eq!(service.store().generations().unwrap(), vec![1]);
     // Retrying the delta succeeds and carries the same buckets.
-    let generation = p.save_delta_checkpoint(&store, &mut chain).expect("retry");
+    let generation = service.checkpoint_now().expect("retry");
     assert_eq!(generation, 2);
     let expected = p.to_checkpoint();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
-    assert_eq!(q.restore_from(&store).unwrap(), 2);
+    assert_eq!(q.restore_from(&store_at(scratch.path())).unwrap(), 2);
     assert_eq!(q.to_checkpoint(), expected);
     q.finish().expect("healthy");
 }
@@ -191,10 +217,10 @@ fn rename_failure_aborts_between_write_and_publish() {
 fn torn_delta_write_falls_back_to_the_chain_base() {
     let _guard = scenario();
     let scratch = ScratchDir::new("torn-delta");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = service_at(&p, scratch.path(), manual_policy());
+    service.checkpoint_now().expect("base");
     let acknowledged = p.to_checkpoint();
     ingest_round(&mut p, 1);
     // Mid-delta-write tear: the frame publishes (rename goes through) but
@@ -204,13 +230,13 @@ fn torn_delta_write_falls_back_to_the_chain_base() {
         FailAction::Truncate { keep: 60 },
         FireSpec::once(),
     );
-    p.save_delta_checkpoint(&store, &mut chain)
-        .expect("write itself succeeds");
+    service.checkpoint_now().expect("write itself succeeds");
     failpoint::clear();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         1,
         "torn delta rejected, chain base restored"
     );
@@ -223,10 +249,10 @@ fn torn_delta_write_falls_back_to_the_chain_base() {
 fn corrupt_nth_delta_spares_the_earlier_delta() {
     let _guard = scenario();
     let scratch = ScratchDir::new("nth-delta");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = service_at(&p, scratch.path(), manual_policy());
+    service.checkpoint_now().expect("base");
     // nth mode: the first delta write is clean, the second is corrupted.
     failpoint::configure(
         "checkpoint::delta_write",
@@ -234,16 +260,16 @@ fn corrupt_nth_delta_spares_the_earlier_delta() {
         FireSpec::nth(1),
     );
     ingest_round(&mut p, 1);
-    p.save_delta_checkpoint(&store, &mut chain).expect("clean");
+    service.checkpoint_now().expect("clean");
     let acknowledged = p.to_checkpoint();
     ingest_round(&mut p, 2);
-    p.save_delta_checkpoint(&store, &mut chain)
-        .expect("write itself succeeds");
+    service.checkpoint_now().expect("write itself succeeds");
     failpoint::clear();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         2,
         "corrupt newest delta rejected, previous delta restored"
     );
@@ -304,29 +330,33 @@ fn store_at(path: &Path) -> Checkpointer {
 fn torn_full_base_abandons_its_whole_chain() {
     let _guard = scenario();
     let scratch = ScratchDir::new("torn-base");
-    let store = Checkpointer::new(scratch.path())
-        .unwrap()
-        .keep_generations(8);
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    p.save_full_checkpoint(&store).expect("chain 1 base");
+    // One service per chain, in turn: chain 2's base is then the second
+    // service's first save, a plain full frame on `checkpoint::write`.
+    let first = service_at(&p, scratch.path(), manual_policy());
+    assert_eq!(first.checkpoint_now().expect("chain 1 base"), 1);
+    drop(first);
     ingest_round(&mut p, 1);
     let acknowledged = p.to_checkpoint();
     // Chain 2's base is torn on disk; its delta (gen 3) is well-formed but
     // must be abandoned because its base cannot be trusted.
+    let second = service_at(&p, scratch.path(), manual_policy());
     failpoint::configure(
         "checkpoint::write",
         FailAction::Truncate { keep: 120 },
         FireSpec::once(),
     );
-    let mut chain2 = p.save_full_checkpoint(&store).expect("write succeeds");
+    assert_eq!(second.checkpoint_now().expect("write succeeds"), 2);
     failpoint::clear();
     ingest_round(&mut p, 2);
-    p.save_delta_checkpoint(&store, &mut chain2).expect("delta");
+    assert_eq!(second.checkpoint_now().expect("delta"), 3);
+    assert_eq!(second.status().delta_saves, 1, "gen 3 rides the torn base");
+    drop(second);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         1,
         "whole torn chain skipped, previous chain's base restored"
     );
@@ -472,21 +502,22 @@ fn torture_cycle_is_deterministic_across_runs() {
     // timing.
     let run = || -> Vec<u8> {
         let scratch = ScratchDir::new("determinism");
-        let store = Checkpointer::new(scratch.path()).unwrap();
         let mut p = runtime(2, 8);
         ingest_round(&mut p, 0);
-        let mut chain = p.save_full_checkpoint(&store).expect("base");
+        let service = service_at(&p, scratch.path(), manual_policy());
+        service.checkpoint_now().expect("base");
         ingest_round(&mut p, 1);
         failpoint::configure(
             "checkpoint::delta_write",
             FailAction::Truncate { keep: 60 },
             FireSpec::once(),
         );
-        p.save_delta_checkpoint(&store, &mut chain).expect("torn");
+        service.checkpoint_now().expect("torn");
         failpoint::clear();
+        drop(service);
         drop(p);
         let mut q = runtime(2, 8);
-        q.restore_from(&store).expect("fallback");
+        q.restore_from(&store_at(scratch.path())).expect("fallback");
         let frame = q.to_checkpoint();
         q.finish().expect("healthy");
         frame
