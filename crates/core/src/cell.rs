@@ -272,16 +272,23 @@ pub(crate) struct TableStore {
     slots: usize,
     /// Word index of tile 0 inside `buf` (0..=[`TILE_ALIGN_PAD`]).
     base: usize,
-    /// Per-bucket dirty stamps for delta snapshots: bucket `b` has changed
-    /// since the last [`Self::begin_dirty_epoch`] iff `dirty[b] == epoch`.
-    /// An epoch bump is the O(1) "clear all" — no per-bucket write on the
-    /// snapshot path, and the single stamp store on the mutation path is
-    /// plain (non-atomic) because the table is externally synchronised
-    /// (each shard lives under its own mutex).
+    /// Per-bucket dirty stamps: `dirty[b]` is the epoch of bucket `b`'s
+    /// last mutation. Each consumer of the dirty set keeps its own cursor
+    /// and sees bucket `b` dirty iff `dirty[b] >= cursor`, so opening an
+    /// epoch for one consumer is an O(1) cursor move that leaves the
+    /// other's view alone. Two consumers exist: the durability service's
+    /// delta snapshots (`delta_cursor`) and the pipeline worker's
+    /// rollback image, which carries its own cursor. The single stamp
+    /// store on the mutation path is plain (non-atomic) because the table
+    /// is externally synchronised (each shard lives under its own mutex).
     dirty: Vec<u64>,
-    /// Current dirty epoch (starts at 1 with every bucket stamped, so a
-    /// fresh table's first delta is a full image).
+    /// The one monotone epoch counter every mutation stamps with (starts
+    /// at 1 with every bucket stamped, so a fresh table's first delta is a
+    /// full image).
     epoch: u64,
+    /// The delta snapshots' cursor: the buckets stamped at or after it
+    /// are the next delta. Only [`Self::begin_dirty_epoch`] moves it.
+    delta_cursor: u64,
 }
 
 /// Cache-line size the tiles align to, in bytes.
@@ -316,10 +323,12 @@ impl TableStore {
             d,
             slots: total,
             base,
-            // Every bucket starts dirty (stamp 1 == initial epoch): the
-            // first delta after construction must carry the whole table.
+            // Every bucket starts dirty (stamp 1 == initial epoch == the
+            // delta cursor): the first delta after construction must carry
+            // the whole table.
             dirty: vec![1; buckets],
             epoch: 1,
+            delta_cursor: 1,
         }
     }
 
@@ -332,7 +341,7 @@ impl TableStore {
     /// The live word region (tile 0 through the last tile), skipping the
     /// alignment slack.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         let end = self.base.saturating_add(self.slots.saturating_mul(2));
         self.buf.get(self.base..end).unwrap_or(&[])
     }
@@ -368,31 +377,79 @@ impl TableStore {
         self.mark_dirty_bucket(bucket);
     }
 
-    /// Open a new dirty epoch: every bucket is considered clean until its
-    /// next mutation. O(1) — the old stamps are invalidated by bumping the
-    /// epoch, not rewritten. Call under the same lock that guards the
-    /// snapshot read so no mutation can slip between "read buckets" and
-    /// "clear dirty".
-    pub(crate) fn begin_dirty_epoch(&mut self) {
+    /// Advance the epoch counter and return the new epoch: a cursor set to
+    /// it sees every bucket clean until its next mutation. O(1) — old
+    /// stamps are outrun, not rewritten.
+    pub(crate) fn open_epoch(&mut self) -> u64 {
         // Saturating: if the counter ever pinned at u64::MAX (2^64 epochs),
         // every stamped bucket would simply stay dirty forever — the safe
-        // direction (deltas over-report, never under-report).
+        // direction (consumers over-copy, never under-copy).
         self.epoch = self.epoch.saturating_add(1);
+        self.epoch
+    }
+
+    /// Open a new dirty epoch for the delta snapshots: every bucket is
+    /// clean for them until its next mutation. Moves only the delta cursor
+    /// — the rollback image's cursor keeps seeing what it has not copied.
+    /// Call under the same lock that guards the snapshot read so no
+    /// mutation can slip between "read buckets" and "clear dirty".
+    pub(crate) fn begin_dirty_epoch(&mut self) {
+        self.delta_cursor = self.open_epoch();
     }
 
     /// Bucket indices dirtied since the last [`Self::begin_dirty_epoch`],
     /// in ascending order.
     pub(crate) fn dirty_buckets(&self) -> impl Iterator<Item = usize> + '_ {
-        let epoch = self.epoch;
+        let cursor = self.delta_cursor;
         self.dirty
             .iter()
             .enumerate()
-            .filter_map(move |(b, &w)| (w == epoch).then_some(b))
+            .filter_map(move |(b, &w)| (w >= cursor).then_some(b))
     }
 
     /// Number of buckets dirtied since the last [`Self::begin_dirty_epoch`].
     pub(crate) fn dirty_bucket_count(&self) -> usize {
         self.dirty_buckets().count()
+    }
+
+    /// Bring `image` — a copy of [`Self::words`] — up to date by copying
+    /// every tile stamped at or after `cursor`: one copy per run of
+    /// adjacent dirty buckets, clean tiles untouched.
+    pub(crate) fn copy_dirty_tiles(&self, cursor: u64, image: &mut [u64]) {
+        let tile = self.d.saturating_mul(2);
+        let live = self.words();
+        let mut copy_run = |first: usize, end: usize| {
+            let span = first.saturating_mul(tile)..end.saturating_mul(tile);
+            if let (Some(dst), Some(src)) = (image.get_mut(span.clone()), live.get(span)) {
+                dst.copy_from_slice(src);
+            }
+        };
+        let mut run_start = None;
+        for (b, &stamp) in self.dirty.iter().enumerate() {
+            match (stamp >= cursor, run_start) {
+                (true, None) => run_start = Some(b),
+                (false, Some(first)) => {
+                    copy_run(first, b);
+                    run_start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(first) = run_start {
+            copy_run(first, self.dirty.len());
+        }
+    }
+
+    /// Overwrite the live words with `image` (a [`Self::words`] copy of
+    /// this store) and stamp every bucket in the current epoch, so every
+    /// consumer sees the whole table as changed.
+    pub(crate) fn load_words(&mut self, image: &[u64]) {
+        let end = self.base.saturating_add(self.slots.saturating_mul(2));
+        if let Some(live) = self.buf.get_mut(self.base..end) {
+            debug_assert_eq!(live.len(), image.len(), "image of another shape");
+            live.iter_mut().zip(image).for_each(|(w, &v)| *w = v);
+        }
+        self.dirty.fill(self.epoch);
     }
 
     /// Slot `i` → (bucket, in-bucket offset). Production bucket widths are
@@ -734,6 +791,7 @@ impl Clone for TableStore {
         // the original would have.
         out.dirty.copy_from_slice(&self.dirty);
         out.epoch = self.epoch;
+        out.delta_cursor = self.delta_cursor;
         out
     }
 }
@@ -1286,6 +1344,32 @@ mod tests {
         store.begin_dirty_epoch();
         assert_eq!(store.harvest_range(0, 16, 0), 0, "flags consumed");
         assert_eq!(store.dirty_bucket_count(), 0, "no-op sweep dirties nothing");
+    }
+
+    #[test]
+    fn each_cursor_sees_what_it_has_not_consumed() {
+        // 4 buckets of 4 slots: 8 words per tile.
+        let mut store = TableStore::new(16, 4);
+        store.begin_dirty_epoch();
+        let mut image = store.words().to_vec();
+        let cursor = store.open_epoch();
+        store.set_cell(5, Cell::from_raw(42, 1, 0, FLAG_OCCUPIED)); // bucket 1
+        store.begin_dirty_epoch();
+        store.set_cell(9, Cell::from_raw(43, 2, 0, FLAG_OCCUPIED)); // bucket 2
+        assert_eq!(
+            store.dirty_buckets().collect::<Vec<_>>(),
+            vec![2],
+            "the delta epoch hides bucket 1 from the deltas…"
+        );
+        // …but not from the image: both adjacent dirty tiles are copied,
+        // and a clean tile is left as the image holds it.
+        image[24] = 99;
+        store.copy_dirty_tiles(cursor, &mut image);
+        assert_eq!(image[8..24], store.words()[8..24]);
+        assert_eq!(image[24], 99, "clean tiles are not copied");
+        // The image's next epoch leaves the delta cursor where it was.
+        let _ = store.open_epoch();
+        assert_eq!(store.dirty_buckets().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //! 20-byte `DLTA` chain header (magic, base generation u64, base CRC u32,
 //! chain length u32) and whose remaining sections are per-shard `LTCD`
 //! delta snapshots ([`crate::snapshot`]) carrying only the buckets dirtied
-//! since the chain's *base* — the full frame whose publication opened the
-//! current dirty epoch. Deltas are cumulative, so restore needs exactly
+//! since the chain's *base* — the full frame whose save moved the shards'
+//! delta cursor. Deltas are cumulative, so restore needs exactly
 //! two frames: the base and the newest delta. The chain header links them
 //! with the CRC-32 of the base's published bytes; if the base is missing,
 //! unreadable, or its bytes no longer match that CRC, the chain is broken
@@ -58,12 +58,13 @@
 //! full frame) bounds chain length and lets old generations prune away.
 //!
 //! The [`DurabilityService`](crate::durability::DurabilityService) is the
-//! only writer of chains. Its full saves are the only calls that open a
-//! dirty epoch on a runtime's shards, and a runtime takes one service at a
-//! time ([`CheckpointError::AlreadyAttached`]), so nothing else can reset
-//! the epochs a live chain's deltas are counted from.
+//! only writer of chains. Its full saves are the only calls that move the
+//! delta cursor of a runtime's shards (the workers' rollback images keep
+//! cursors of their own), and a runtime takes one service at a time
+//! ([`CheckpointError::AlreadyAttached`]), so nothing else can move the
+//! cursor a live chain's deltas are counted from.
 //! [`ParallelLtc::to_checkpoint`] and [`ParallelLtc::checkpoint_to`] write
-//! plain full frames and leave the epochs alone.
+//! plain full frames and leave the cursor alone.
 //!
 //! Restore decodes each frame once, against the runtime's fingerprint.
 //! Section 0 tells a delta from a full frame; a delta's base is loaded,
@@ -149,8 +150,8 @@ pub enum CheckpointError {
     NoCheckpoint,
     /// The runtime already has a live
     /// [`DurabilityService`](crate::durability::DurabilityService): a
-    /// runtime takes one service at a time, since its shards' dirty epochs
-    /// can serve only one delta chain.
+    /// runtime takes one service at a time, since its shards' one delta
+    /// cursor can serve only one delta chain.
     AlreadyAttached,
 }
 
@@ -722,18 +723,19 @@ fn encode_shards(
     encode_frame(configs_fingerprint(&configs), &sections)
 }
 
-/// Serialise every shard as a full frame *and open a new dirty epoch* per
-/// shard (atomically with each shard's snapshot, under its lock), publish
-/// it to `store`, and return the chain state future deltas link against.
+/// Serialise every shard as a full frame *and move each shard's delta
+/// cursor* to a new epoch (atomically with its snapshot, under its lock),
+/// publish it to `store`, and return the chain state future deltas link
+/// against.
 /// A `compaction` publishes on the `checkpoint::compact` failpoint site
 /// and is observed as one; any other full save uses `checkpoint::write`.
 ///
 /// Only the [`crate::durability::DurabilityService`] calls this, so a
-/// runtime's dirty epochs have one writer. It holds clones of the shard
+/// runtime's delta cursors have one writer. It holds clones of the shard
 /// `Arc`s (whose identity survives restore) rather than the runtime
 /// itself, and deliberately does **not** drain the pipeline — in-flight
 /// records simply aren't acknowledged into this frame and land in the
-/// next one. If the publish fails the epochs are already cleared, so the
+/// next one. If the publish fails the cursors have already moved, so the
 /// caller must not fall back to delta saves until a full save succeeds; a
 /// full frame never depends on the dirty state, so a retry loses nothing.
 pub(crate) fn save_full_over(

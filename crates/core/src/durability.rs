@@ -7,19 +7,20 @@
 //! checkpoint frames through a [`Checkpointer`]:
 //!
 //! * the first frame — and every *compaction* — is a **full** frame: each
-//!   shard's complete snapshot, which also opens a fresh dirty epoch per
-//!   shard;
+//!   shard's complete snapshot, which also moves each shard's delta
+//!   cursor to a fresh epoch;
 //! * frames in between are **delta** frames carrying only the buckets
 //!   dirtied since the chain's base full frame, linked to it by the
 //!   `DLTA` chain header's base CRC (see [`crate::checkpoint`]).
 //!
-//! The service is the only writer of delta chains: no other code opens a
-//! dirty epoch on a runtime's shards. A runtime takes one service at a
+//! The service is the only writer of delta chains: no other code moves
+//! the delta cursor of a runtime's shards (the workers' rollback images
+//! open epochs on cursors of their own). A runtime takes one service at a
 //! time — [`DurabilityService::attach`] refuses a second one with
 //! [`CheckpointError::AlreadyAttached`] until the first is stopped or
-//! dropped — because a second writer would reset the epochs the first
-//! one's deltas are counted from, and those deltas would silently miss
-//! buckets. [`ParallelLtc::restore_from`] reads the chains back, decoding
+//! dropped — because two services would share that one cursor: a second
+//! writer would move it under the first one's chain, and that chain's
+//! deltas would silently miss buckets. [`ParallelLtc::restore_from`] reads the chains back, decoding
 //! each frame once.
 //!
 //! Snapshots are taken under each shard's lock — a brief pause per shard,
@@ -33,8 +34,8 @@
 //! A failed save (fsync error, rename error, disk full — or an injected
 //! failpoint) is retried under the service's [`FaultPolicy`]: up to
 //! `max_restarts` retries with the same exponential backoff the worker
-//! supervisor uses. A failed **full** save clears the chain — the dirty
-//! epochs were already opened, so the service must not fall back to delta
+//! supervisor uses. A failed **full** save clears the chain — the delta
+//! cursors had already moved, so the service must not fall back to delta
 //! frames until a full frame lands (a full frame never depends on dirty
 //! state, so nothing is lost by retrying). Once the budget is exhausted
 //! the [`OnFault`] policy decides: `Degrade` skips the tick and tries
@@ -704,7 +705,7 @@ mod tests {
         };
         let mut first = attach(&first_dir).unwrap();
         first.checkpoint_now().unwrap();
-        // A second writer would reopen the dirty epochs under the first
+        // A second writer would move the delta cursor under the first
         // service's chain.
         assert!(matches!(
             attach(&second_dir),

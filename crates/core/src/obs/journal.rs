@@ -39,8 +39,9 @@ pub enum EventKind {
     /// A worker died; `detail` = the numeric code of the fault kind
     /// (`FaultKind::code`).
     WorkerFault,
-    /// A shard's table was rolled back to its last period-boundary
-    /// snapshot during recovery; `detail` = restarts so far on that shard.
+    /// A shard's table was rolled back to its rollback image of the last
+    /// period boundary during recovery; `detail` = restarts so far on that
+    /// shard.
     Rollback,
     /// A shard exhausted its restart budget and degraded to lossy mode;
     /// `detail` = records lost on that shard at the moment of degradation.

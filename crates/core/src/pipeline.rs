@@ -36,8 +36,11 @@
 //! coordinator then *supervises* the lane:
 //!
 //! 1. the dead worker is joined and its fault collected;
-//! 2. the shard table is rolled back to its **last checkpoint** — a
-//!    snapshot the worker captures at every period boundary;
+//! 2. the shard table is rolled back to its **rollback image** — a copy of
+//!    the table that the worker brings up to date at every period boundary
+//!    by copying only the bucket tiles dirtied since its last capture
+//!    (the image keeps its own dirty cursor, so the durability service's
+//!    deltas are unaffected);
 //! 3. within the retry budget ([`FaultPolicy::max_restarts`]) a fresh
 //!    worker is spawned on a fresh queue after an exponential backoff, and
 //!    any barrier message still in flight is re-sent so the epoch
@@ -46,8 +49,8 @@
 //!    routed to it are dropped (and counted), while queries keep serving
 //!    the shard's last-good state alongside the healthy shards.
 //!
-//! Records between the last checkpoint and the fault are lost — that is the
-//! documented recovery semantic (at-most-once per shard epoch), and
+//! Records between the last period boundary and the fault are lost — that
+//! is the documented recovery semantic (at-most-once per shard epoch), and
 //! [`ShardHealth`] reports both the restarts and a lower bound on the loss.
 //! Operations that can observe a degraded runtime return
 //! `Result<_, RuntimeError>`; the [`StreamProcessor`]/[`SignificanceQuery`]
@@ -61,14 +64,14 @@
 //! barrier), then read the shard tables under their locks and merge, so a
 //! query observes every record inserted before it.
 
-use crate::config::{FaultPolicy, LtcConfig};
+use crate::config::{FaultPolicy, LtcConfig, PeriodMode};
 use crate::obs::audit::HealthAuditor;
 use crate::obs::trace::{names, SpanCtx, TraceTrack};
 use crate::obs::{RuntimeObs, ShardObs};
 use crate::sharded::{shard_of_id, ShardedLtc};
 use crate::spsc::SpscRing;
 use crate::stats::LtcStats;
-use crate::table::Ltc;
+use crate::table::{Ltc, RollbackImage};
 use ltc_common::{
     top_k_of, BatchStreamProcessor, Estimate, ItemId, MemoryUsage, SignificanceQuery,
     StreamProcessor,
@@ -381,7 +384,9 @@ struct WorkerCtx {
     shard: Arc<Mutex<Ltc>>,
     progress: Arc<Progress>,
     fault: Arc<Mutex<Option<WorkerFault>>>,
-    last_good: Arc<Mutex<Vec<u8>>>,
+    /// The shard's rollback image, which this worker brings up to date
+    /// under the shard lock at every `EndPeriod` and `Finish`.
+    last_good: Arc<Mutex<RollbackImage>>,
     /// Wait-free metric handles for this shard (`None` = metrics off).
     obs: Option<ShardObs>,
     /// This shard's span ring (`None` = tracing off). Wait-free record
@@ -401,9 +406,10 @@ struct Lane {
     progress: Arc<Progress>,
     /// The worker's fault report slot, written before `mark_dead`.
     fault: Arc<Mutex<Option<WorkerFault>>>,
-    /// The shard's last checkpoint (raw [`Ltc::to_snapshot`] bytes),
-    /// refreshed by the worker at period boundaries.
-    last_good: Arc<Mutex<Vec<u8>>>,
+    /// The shard's rollback image as of its last period boundary: the
+    /// worker copies the tiles dirtied since its previous capture into it,
+    /// and supervision copies it back whole.
+    last_good: Arc<Mutex<RollbackImage>>,
     worker: Option<JoinHandle<()>>,
     /// Restarts consumed from the budget.
     restarts: u32,
@@ -559,16 +565,12 @@ fn worker_loop(ctx: &WorkerCtx) {
                     fail_point!("worker::end_period");
                     let mut shard = lock_recover(&ctx.shard);
                     shard.end_period();
-                    let snapshot = shard.to_snapshot();
-                    drop(shard);
-                    *lock_recover(&ctx.last_good) = snapshot;
+                    shard.capture_rollback(&mut lock_recover(&ctx.last_good));
                 }
                 Msg::Finish(_) => {
                     let mut shard = lock_recover(&ctx.shard);
                     shard.finalize();
-                    let snapshot = shard.to_snapshot();
-                    drop(shard);
-                    *lock_recover(&ctx.last_good) = snapshot;
+                    shard.capture_rollback(&mut lock_recover(&ctx.last_good));
                 }
                 Msg::Shutdown => {}
             }
@@ -731,7 +733,7 @@ fn start_worker(
 }
 
 /// Supervise a lane whose worker died: join it, salvage what the queue
-/// still holds, roll the shard back to its last checkpoint, and restart
+/// still holds, roll the shard back to its rollback image, and restart
 /// the worker (within the budget, after backoff) or mark the lane lossy.
 /// `resend` is the control message the current barrier still needs acked;
 /// it is re-enqueued to the restarted worker.
@@ -774,13 +776,14 @@ fn supervise_lane(
     if let Some(shard_obs) = &lane.obs {
         shard_obs.records_lost.add(salvaged);
     }
-    // 3. Roll the shard back to the last checkpoint (a period boundary).
-    //    The snapshot was produced by `to_snapshot` on this very table
-    //    shape, so restore cannot fail; tolerate it anyway.
+    // 3. Roll the shard back to its image of the last period boundary:
+    //    the whole image is copied back and every bucket stamped dirty, so
+    //    the durability service's next delta carries the rolled-back
+    //    buckets. The image was taken from this very table, so the copy
+    //    cannot fail.
     {
         let mut table = lock_recover(shard);
-        let snapshot = lock_recover(&lane.last_good);
-        let _ = table.restore_snapshot(&snapshot);
+        table.roll_back(&lock_recover(&lane.last_good));
     }
     if let Some(o) = obs {
         o.note_rollback(shard_index as u64, lane.restarts as u64);
@@ -847,6 +850,10 @@ impl ParallelLtc {
     /// shard `i` of `ShardedLtc::new(config, num_shards)`, under the
     /// default [`FaultPolicy`]. Workers receive batches over the
     /// lock-free [`spsc`](crate::spsc) rings.
+    ///
+    /// # Panics
+    /// Panics if `config` is time-driven (built with
+    /// `time_units_per_period`) or `num_shards` is 0.
     pub fn new(config: LtcConfig, num_shards: usize) -> Self {
         Self::with_batch_size(config, num_shards, DEFAULT_BATCH_SIZE)
     }
@@ -855,6 +862,10 @@ impl ParallelLtc {
     /// Larger batches amortise queue synchronisation further but delay when
     /// workers see records; [`DEFAULT_BATCH_SIZE`] suits most streams.
     /// Spawns workers on the [`spsc`](crate::spsc) rings.
+    ///
+    /// # Panics
+    /// Panics if `batch_size` or `num_shards` is 0, or if `config` is
+    /// time-driven.
     pub fn with_batch_size(config: LtcConfig, num_shards: usize, batch_size: usize) -> Self {
         Self::with_fault_policy(config, num_shards, batch_size, FaultPolicy::default())
     }
@@ -865,6 +876,10 @@ impl ParallelLtc {
     /// [`with_observability`](ParallelLtc::with_observability) to share a
     /// registry or to turn metrics off. Spawns workers on the
     /// [`spsc`](crate::spsc) rings.
+    ///
+    /// # Panics
+    /// Panics if `batch_size` or `num_shards` is 0, or if `config` is
+    /// time-driven.
     pub fn with_fault_policy(
         config: LtcConfig,
         num_shards: usize,
@@ -885,6 +900,12 @@ impl ParallelLtc {
     /// runtimes into one registry, or `None` to run with metrics off (the
     /// baseline of the metrics overhead smoke bound in `tests/obs.rs`).
     /// Spawns workers on the [`spsc`](crate::spsc) rings.
+    ///
+    /// # Panics
+    /// Panics if `batch_size` or `num_shards` is 0, or if `config` is
+    /// time-driven: the runtime has no timestamped insert, so every batch
+    /// would panic its worker and supervision would drop the records. The
+    /// check runs before any worker spawns.
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,
@@ -893,6 +914,11 @@ impl ParallelLtc {
         obs: Option<Arc<RuntimeObs>>,
     ) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
+        assert!(
+            matches!(config.period_mode, PeriodMode::ByCount { .. }),
+            "ParallelLtc needs a count-driven config (records_per_period), \
+             not a time-driven one"
+        );
         // Delegate shard construction so seeding matches ShardedLtc exactly.
         let shards: Vec<Arc<Mutex<Ltc>>> = ShardedLtc::new(config, num_shards)
             .into_shards()
@@ -911,10 +937,10 @@ impl ParallelLtc {
                     queue: Arc::new(fresh_ring(shard_obs.as_ref())),
                     progress: Arc::new(Progress::new()),
                     fault: Arc::new(Mutex::new(None)),
-                    // The initial checkpoint is the pristine shard: a worker
+                    // The initial image is the pristine shard: a worker
                     // that dies before its first period boundary rolls back
                     // to an empty (but correctly configured) table.
-                    last_good: Arc::new(Mutex::new(lock_recover(shard).to_snapshot())),
+                    last_good: Arc::new(Mutex::new(lock_recover(shard).rollback_image())),
                     worker: None,
                     restarts: 0,
                     lossy: None,
@@ -1304,17 +1330,17 @@ impl ParallelLtc {
             .map(|t| (t.track.clone(), t.last_barrier))
     }
 
-    /// After a checkpoint restore rewrote every shard table: refresh each
-    /// lane's last-good snapshot to the restored state so a future
-    /// rollback lands on it, and revive lossy lanes with a fresh worker
-    /// and a full retry budget (the operator restored on purpose). A
-    /// refused spawn degrades the lane again, as supervision would.
+    /// After a checkpoint restore rewrote every shard table: replace each
+    /// lane's rollback image with a full image of the restored state so a
+    /// future rollback lands on it, and revive lossy lanes with a fresh
+    /// worker and a full retry budget (the operator restored on purpose).
+    /// A refused spawn degrades the lane again, as supervision would.
     pub(crate) fn reset_after_restore(&mut self) {
         self.restores = self.restores.saturating_add(1);
         let obs = self.obs.as_deref();
         let lanes = &mut inner_mut(&mut self.inner).lanes;
         for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
-            *lock_recover(&lane.last_good) = lock_recover(shard).to_snapshot();
+            *lock_recover(&lane.last_good) = lock_recover(shard).rollback_image();
             lane.restarts = 0;
             lane.records_lost = 0;
             lane.last_fault_seq = None;

@@ -73,6 +73,19 @@ impl std::fmt::Debug for ShardedLtc {
 impl ShardedLtc {
     /// `n` shards, each an LTC built from `config` (same shape each; the
     /// per-shard seed is perturbed so tables hash independently).
+    ///
+    /// A time-driven `config` (built with `time_units_per_period`) is
+    /// accepted, but its shards are fed through [`into_shards`] and
+    /// [`Ltc::insert_at`]: this container's own [`insert`] and
+    /// [`insert_batch`] route count-driven records only, and panic on the
+    /// caller's thread for a time-driven config.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0.
+    ///
+    /// [`into_shards`]: ShardedLtc::into_shards
+    /// [`insert`]: StreamProcessor::insert
+    /// [`insert_batch`]: ShardedLtc::insert_batch
     pub fn new(config: LtcConfig, n: usize) -> Self {
         assert!(n > 0, "need at least one shard");
         let shards = (0..n)

@@ -33,9 +33,24 @@
 //!
 //! A delta is *cumulative relative to the epoch's base image*: applying the
 //! base full snapshot and then the newest delta reproduces the live table
-//! exactly (intermediate deltas are redundant). Dirty-bucket tracking lives
-//! in the [`crate::cell`] store (a per-bucket epoch stamp, one compare +
-//! store per record, off the probe scans).
+//! exactly (intermediate deltas are redundant).
+//!
+//! Dirty-bucket tracking lives in the [`crate::cell`] store: every
+//! mutation stamps its bucket with one monotone epoch counter (one compare
+//! and one store per record, off the probe scans), and each consumer of
+//! the dirty set keeps its own cursor — a bucket is dirty for a consumer
+//! iff its stamp ≥ that consumer's cursor. There are two consumers:
+//!
+//! * **delta snapshots**, whose cursor only [`Ltc::begin_delta_epoch`]
+//!   moves (in a runtime, only the durability service's full save calls
+//!   it);
+//! * **the pipeline worker's rollback image**, which copies the tiles
+//!   stamped since its own cursor at every period close and then opens a
+//!   new epoch for itself, never touching the delta cursor.
+//!
+//! Opening an epoch for one consumer bumps the shared counter, which the
+//! other consumer's `stamp ≥ cursor` test does not notice, so neither can
+//! hide buckets from the other.
 
 use crate::cell::Cell;
 use crate::table::Ltc;

@@ -399,6 +399,39 @@ impl Ltc {
         self.clock = ClockPointer::new(self.store.len());
     }
 
+    /// A full rollback image of this table, whose cursor opens a new
+    /// epoch: the next [`Ltc::capture_rollback`] copies only what changes
+    /// from here on. The delta cursor does not move.
+    pub(crate) fn rollback_image(&mut self) -> RollbackImage {
+        RollbackImage {
+            words: self.store.words().to_vec(),
+            parity: self.parity,
+            periods_completed: self.periods_completed,
+            cursor: self.store.open_epoch(),
+        }
+    }
+
+    /// Bring `image` up to this table's state: copy only the tiles stamped
+    /// since its last capture (runs of adjacent dirty buckets coalesced),
+    /// then open a new epoch for its cursor. The delta cursor does not
+    /// move, so the next delta snapshot still carries those buckets.
+    pub(crate) fn capture_rollback(&mut self, image: &mut RollbackImage) {
+        self.store.copy_dirty_tiles(image.cursor, &mut image.words);
+        image.parity = self.parity;
+        image.periods_completed = self.periods_completed;
+        image.cursor = self.store.open_epoch();
+    }
+
+    /// Roll the table back to `image`, as [`Ltc::restore_snapshot`] of the
+    /// same state would: every cell, parity and period count come from the
+    /// image, the CLOCK restarts, and every bucket is stamped dirty, so
+    /// the next delta snapshot carries the rolled-back buckets. Stats are
+    /// process-local and stay as they are.
+    pub(crate) fn roll_back(&mut self, image: &RollbackImage) {
+        self.store.load_words(&image.words);
+        self.restore_state(image.parity, image.periods_completed);
+    }
+
     /// Bucket indices mutated since the last [`Ltc::begin_delta_epoch`]
     /// (delta-snapshot support), ascending.
     pub(crate) fn dirty_buckets(&self) -> impl Iterator<Item = usize> + '_ {
@@ -410,9 +443,12 @@ impl Ltc {
         self.store.dirty_bucket_count()
     }
 
-    /// Open a new dirty epoch: subsequent `Ltc::dirty_buckets` calls
+    /// Open a new dirty epoch for delta snapshots: subsequent
+    /// [`Ltc::to_delta_snapshot`] and [`Ltc::dirty_bucket_count`] calls
     /// report only buckets mutated from this point on. Call right after
-    /// taking the snapshot the next delta will be relative to.
+    /// taking the snapshot the next delta will be relative to. Only the
+    /// delta cursor moves; a pipeline worker's rollback image keeps its
+    /// own.
     pub fn begin_delta_epoch(&mut self) {
         self.store.begin_dirty_epoch();
     }
@@ -655,6 +691,19 @@ impl MemoryUsage for Ltc {
     }
 }
 
+/// A shard's rollback image: a copy of the table's tile words plus its
+/// parity and period count, kept current by [`Ltc::capture_rollback`] at
+/// O(dirty) cost. The image carries its own dirty cursor, separate from
+/// the one delta snapshots use, so the two never steal each other's
+/// buckets.
+pub(crate) struct RollbackImage {
+    words: Vec<u64>,
+    parity: u8,
+    periods_completed: u64,
+    /// Tiles stamped at or after this epoch changed since the last capture.
+    cursor: u64,
+}
+
 /// Per-batch case counters, accumulated in locals and flushed into
 /// [`LtcStats`] once per batch (or per record on the unbatched path).
 /// Saturation commutes with the split — `saturating_add` of a batch total
@@ -753,6 +802,7 @@ fn probe_tile_fixed<const D: usize>(
 mod tests {
     use super::*;
     use crate::config::Variant;
+    use proptest::prelude::*;
 
     fn config(w: usize, d: usize, n: u64, weights: Weights, variant: Variant) -> LtcConfig {
         LtcConfig::builder()
@@ -1043,6 +1093,66 @@ mod tests {
         assert!(ltc.items_above(1e9).is_empty());
         // Threshold 0 returns every occupied cell.
         assert_eq!(ltc.items_above(0.0).len(), 3);
+    }
+
+    /// Replay one schedule over a small table with both consumers of the
+    /// dirty set — the rollback image and the delta snapshots — and check
+    /// after every step that each consumer still reproduces the table.
+    /// Ops: 0–3 insert a batch, 4 end a period, 5 capture the rollback
+    /// image, 6 open a delta epoch (taking its base), 7 roll back.
+    fn two_cursor_schedule(d: usize, steps: &[(u8, Vec<u64>)]) -> Result<(), TestCaseError> {
+        let cfg = config(8, d, 20, Weights::BALANCED, Variant::FULL);
+        let mut live = Ltc::new(cfg);
+        let mut image = live.rollback_image();
+        let mut captured = live.to_snapshot();
+        let mut base = live.to_snapshot();
+        for (step, (op, ids)) in steps.iter().enumerate() {
+            match op {
+                0..=3 => live.insert_batch(ids),
+                4 => live.end_period(),
+                5 => {
+                    live.capture_rollback(&mut image);
+                    captured = live.to_snapshot();
+                }
+                6 => {
+                    base = live.to_snapshot();
+                    live.begin_delta_epoch();
+                }
+                _ => live.roll_back(&image),
+            }
+            let mut rolled = live.clone();
+            rolled.roll_back(&image);
+            prop_assert_eq!(
+                rolled.to_snapshot(),
+                captured.clone(),
+                "step {}: rollback differs from the last capture",
+                step
+            );
+            let mut replayed = Ltc::new(cfg);
+            replayed.restore_snapshot(&base).expect("own base");
+            replayed
+                .apply_delta_snapshot(&live.to_delta_snapshot())
+                .expect("own delta");
+            prop_assert_eq!(
+                replayed.to_snapshot(),
+                live.to_snapshot(),
+                "step {}: base + delta differs from the live table",
+                step
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn rollback_image_and_deltas_keep_separate_cursors(
+            wide in 0u8..2,
+            steps in prop::collection::vec((0u8..8, prop::collection::vec(0u64..60, 0..40)), 1..40),
+        ) {
+            two_cursor_schedule(if wide == 0 { 4 } else { 8 }, &steps)?;
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection suite: drives the named failpoints in the
 //! runtime (`worker::batch`, `worker::end_period`, `worker::spawn`,
 //! `checkpoint::write`, `spsc::push`) to prove every recovery path end to
-//! end — worker panic → supervised restart from the last checkpoint;
+//! end — worker panic → supervised restart from the last period boundary;
 //! restart budget exhaustion or a refused spawn → lossy degradation with
 //! live queries; torn/corrupted checkpoint write → generation fallback on
 //! restore. Zero process aborts anywhere.
@@ -14,12 +14,14 @@
 
 use ltc_common::{SignificanceQuery, StreamProcessor, Weights};
 use ltc_core::checkpoint::Checkpointer;
+use ltc_core::durability::{DurabilityPolicy, DurabilityService};
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::obs::EventKind;
 use ltc_core::pipeline::ShardHealth;
 use ltc_core::{FaultKind, FaultPolicy, LtcConfig, ParallelLtc, RuntimeObs, ShardedLtc, SpscRing};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// The failpoint registry is process-global, so scenarios must not
 /// interleave: every test body runs under this guard and starts/ends with
@@ -91,7 +93,7 @@ fn lossy_count(health: &[ShardHealth]) -> usize {
 
 // ---------------------------------------------------------------------------
 // Acceptance scenario 1: seeded worker panic mid-stream → restart from the
-// last checkpoint, stream continues, top-k still answers.
+// last period boundary, stream continues, top-k still answers.
 
 #[test]
 fn worker_panic_mid_stream_recovers_and_stream_continues() {
@@ -157,6 +159,74 @@ fn recovery_restores_exactly_the_last_epoch_boundary() {
         format!("{:?}", recovered.shard(0)),
         format!("{:?}", reference.shard(0)),
         "recovered shard must be exactly the last epoch boundary"
+    );
+}
+
+#[test]
+fn rollback_after_a_mid_period_checkpoint_lands_on_the_period_boundary() {
+    // Both consumers of the shard's dirty set interleave: the durability
+    // service opens its delta epoch mid-period, between two captures of
+    // the worker's rollback image. Neither may hide buckets from the other.
+    let _guard = scenario();
+    let scratch = ScratchDir::new("two-cursors");
+    let mut p = runtime(1, 8);
+    let policy = DurabilityPolicy {
+        interval: Duration::from_secs(3_600),
+        faults: FaultPolicy::no_backoff(),
+        ..DurabilityPolicy::default()
+    };
+    let service =
+        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
+    let period_1: Vec<u64> = (0..100u64).map(|i| i % 30).collect();
+    // Period 2's halves dirty different buckets: fresh ids, then one hot id.
+    let first_half: Vec<u64> = (0..50u64).map(|i| 1_000 + i).collect();
+    let second_half = vec![7u64; 50];
+    p.insert_batch(&period_1);
+    p.end_period().expect("healthy runtime");
+    p.insert_batch(&first_half);
+    // `checkpoint_now` does not drain: apply the first half before the
+    // service's first (full) save opens its epoch.
+    p.sync().expect("healthy runtime");
+    service.checkpoint_now().expect("full base");
+    p.insert_batch(&second_half);
+    p.end_period().expect("healthy runtime");
+    // Period 3: the worker dies on its first batch and is rolled back.
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    p.insert_batch(&(0..8u64).map(|i| 5_000 + i).collect::<Vec<_>>());
+    p.sync().expect("supervision absorbed the panic");
+    failpoint::clear();
+    assert_eq!(restarts_of(&p.health()), 1);
+
+    let mut reference = ShardedLtc::new(config(), 1);
+    reference.insert_batch(&period_1);
+    reference.end_period();
+    reference.insert_batch(&first_half);
+    reference.insert_batch(&second_half);
+    reference.end_period();
+    assert!(
+        p.to_checkpoint() == reference.to_checkpoint(),
+        "the rollback must land on the end of period 2"
+    );
+    // The rolled-back buckets reach the service's next delta.
+    let generation = service.checkpoint_now().expect("delta after the rollback");
+    let live = p.to_checkpoint();
+    drop(service);
+    let mut q = runtime(1, 8);
+    assert_eq!(
+        q.restore_from(&Checkpointer::new(scratch.path()).unwrap())
+            .unwrap(),
+        generation
+    );
+    assert!(
+        q.to_checkpoint() == live,
+        "restore must equal the live shard"
+    );
+    q.finish().expect("healthy");
+    // Bit for bit, stats and CLOCK included.
+    let recovered = p.into_sharded().expect("no lossy shards");
+    assert_eq!(
+        format!("{:?}", recovered.shard(0)),
+        format!("{:?}", reference.shard(0))
     );
 }
 

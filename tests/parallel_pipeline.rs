@@ -110,3 +110,51 @@ fn equivalence_holds_at_awkward_batch_sizes() {
         );
     }
 }
+
+/// A time-driven config: periods roll over by timestamp, which the
+/// count-driven runtimes cannot feed.
+fn time_driven_config() -> LtcConfig {
+    LtcConfig::builder()
+        .buckets(64)
+        .cells_per_bucket(8)
+        .time_units_per_period(1_000)
+        .seed(7)
+        .build()
+}
+
+#[test]
+#[should_panic(expected = "count-driven config")]
+fn parallel_runtime_rejects_a_time_driven_config_at_construction() {
+    // Refused before any worker spawns: accepting it would panic every
+    // batch inside a worker, and supervision would drop the records.
+    let _ = ParallelLtc::new(time_driven_config(), 1);
+}
+
+#[test]
+fn sharded_time_driven_inserts_panic_on_the_callers_thread() {
+    let insert = std::panic::catch_unwind(|| {
+        let mut sharded = ShardedLtc::new(time_driven_config(), 2);
+        sharded.insert(1);
+    });
+    assert!(insert.is_err(), "insert must panic on the caller's thread");
+    let batch = std::panic::catch_unwind(|| {
+        let mut sharded = ShardedLtc::new(time_driven_config(), 1);
+        sharded.insert_batch(&[1, 2, 3]);
+    });
+    assert!(
+        batch.is_err(),
+        "insert_batch must panic on the caller's thread"
+    );
+    // The documented path: take the shards out and feed them timestamps.
+    let sharded = ShardedLtc::new(time_driven_config(), 2);
+    let mut shards = sharded.into_shards();
+    for t in 0..5_000u64 {
+        let id = t % 50;
+        let s = significant_items::core_::sharded::shard_of_id(id, shards.len());
+        shards[s].insert_at(id, t);
+    }
+    let mut sharded = ShardedLtc::from_shards(shards);
+    sharded.finish();
+    assert_eq!(sharded.shard(0).periods_completed(), 4);
+    assert!(!sharded.top_k(10).is_empty());
+}
