@@ -183,7 +183,6 @@ fn main() {
                     interval: Duration::from_millis(100),
                     max_chain_len: 8,
                     faults: FaultPolicy::default(),
-                    on_fault: Default::default(),
                 },
             )
             .expect("durability service");

@@ -75,13 +75,12 @@ use crate::config::LtcConfig;
 use crate::failpoint::{io_fault, FailAction};
 use crate::obs::trace::names;
 use crate::obs::RuntimeObs;
-use crate::pipeline::{lock_recover, ParallelLtc};
+use crate::pipeline::{lock_recover, ParallelLtc, ShardSet};
 use crate::sharded::ShardedLtc;
 use crate::snapshot::SnapshotError;
 use crate::table::Ltc;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// First four bytes of every checkpoint frame.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"LTCF";
@@ -92,6 +91,9 @@ pub const CHECKPOINT_VERSION: u16 = 1;
 /// Frame header size: magic 4 + version 2 + flags 2 + fingerprint 8 +
 /// section count 4 + CRC 4.
 const HEADER_BYTES: usize = 24;
+
+/// Offset of the header's CRC field.
+const CRC_AT: usize = 20;
 
 /// Error decoding, validating or storing a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,6 +155,19 @@ pub enum CheckpointError {
     /// runtime takes one service at a time, since its shards' one delta
     /// cursor can serve only one delta chain.
     AlreadyAttached,
+    /// A [`ParallelLtc`] frame's shard sections disagree on the period
+    /// count: a torn cut, which no replay of any record prefix produces
+    /// (older builds wrote such frames when a timer save overlapped a
+    /// period close). A [`ShardedLtc`], whose shards may be fed apart,
+    /// accepts such a frame.
+    PeriodMismatch {
+        /// The first shard whose count differs from shard 0's.
+        shard: usize,
+        /// Shard 0's period count.
+        expected: u64,
+        /// That shard's period count.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -189,6 +204,14 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::AlreadyAttached => {
                 write!(f, "runtime already has a durability service")
             }
+            CheckpointError::PeriodMismatch {
+                shard,
+                expected,
+                found,
+            } => write!(
+                f,
+                "checkpoint is a torn cut: shard {shard} is at period {found}, shard 0 at {expected}"
+            ),
         }
     }
 }
@@ -329,27 +352,31 @@ fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(slice))
 }
 
-/// Wrap `sections` in a checkpoint frame stamped with `fingerprint`.
+/// Wrap `sections` in a checkpoint frame stamped with `fingerprint`. The
+/// header, with a CRC placeholder, and the sections go straight into one
+/// buffer; the CRC over the body is patched in last.
 pub fn encode_frame(fingerprint: u64, sections: &[Vec<u8>]) -> Vec<u8> {
-    let body_len: usize = sections
+    let frame_len = sections
         .iter()
         .map(|s| s.len().saturating_add(4))
-        .fold(0usize, usize::saturating_add);
-    let mut body = Vec::with_capacity(body_len);
-    for section in sections {
-        let len = u32::try_from(section.len()).expect("checkpoint section under 4 GiB");
-        body.extend_from_slice(&len.to_le_bytes());
-        body.extend_from_slice(section);
-    }
+        .fold(HEADER_BYTES, usize::saturating_add);
     let count = u32::try_from(sections.len()).expect("fewer than 2^32 sections");
-    let mut out = Vec::with_capacity(HEADER_BYTES.saturating_add(body.len()));
+    let mut out = Vec::with_capacity(frame_len);
     out.extend_from_slice(CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved flags
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&0u32.to_le_bytes()); // CRC, patched below
+    for section in sections {
+        let len = u32::try_from(section.len()).expect("checkpoint section under 4 GiB");
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(section);
+    }
+    let crc = crc32(out.get(HEADER_BYTES..).unwrap_or_default());
+    if let Some(field) = out.get_mut(CRC_AT..HEADER_BYTES) {
+        field.copy_from_slice(&crc.to_le_bytes());
+    }
     out
 }
 
@@ -376,7 +403,7 @@ pub fn decode_frame(
     }
     let fingerprint = read_u64(bytes, 8).ok_or(CheckpointError::Truncated)?;
     let count = read_u32(bytes, 16).ok_or(CheckpointError::Truncated)? as usize;
-    let stored_crc = read_u32(bytes, 20).ok_or(CheckpointError::Truncated)?;
+    let stored_crc = read_u32(bytes, CRC_AT).ok_or(CheckpointError::Truncated)?;
     let body = bytes
         .get(HEADER_BYTES..)
         .ok_or(CheckpointError::Truncated)?;
@@ -515,6 +542,28 @@ fn staged_restore(
     Ok(staged)
 }
 
+/// The period count every one of `shards` is at: a [`ParallelLtc`] closes
+/// each period on all of its shards under one gate.
+///
+/// # Errors
+/// [`CheckpointError::PeriodMismatch`] naming the first shard that
+/// disagrees with shard 0.
+fn one_period_count(shards: &[Ltc]) -> Result<u64, CheckpointError> {
+    let expected = shards.first().map_or(0, Ltc::periods_completed);
+    match shards
+        .iter()
+        .enumerate()
+        .find(|(_, table)| table.periods_completed() != expected)
+    {
+        Some((shard, table)) => Err(CheckpointError::PeriodMismatch {
+            shard,
+            expected,
+            found: table.periods_completed(),
+        }),
+        None => Ok(expected),
+    }
+}
+
 impl ShardedLtc {
     /// Serialise every shard as one checkpoint frame (one section per
     /// shard, fingerprinted over the full ordered shard configuration).
@@ -527,7 +576,9 @@ impl ShardedLtc {
         encode_frame(fingerprint, &sections)
     }
 
-    /// Restore every shard from a checkpoint frame, all-or-nothing.
+    /// Restore every shard from a checkpoint frame, all-or-nothing. The
+    /// shards may sit at different period counts: a time-driven table's
+    /// shards close periods as their own records cross a boundary.
     ///
     /// # Errors
     /// See [`CheckpointError`].
@@ -544,21 +595,26 @@ impl ShardedLtc {
 impl ParallelLtc {
     /// Drain the pipeline (best-effort) and serialise every shard as one
     /// checkpoint frame. A degraded runtime is still checkpointable: lossy
-    /// shards contribute their last-good state. The frame is compatible
-    /// with a [`ShardedLtc`] of the same configuration.
+    /// shards contribute their last-good state, on which every period the
+    /// runtime closed since was closed too (with no records), so the frame
+    /// restores. The frame is compatible with a [`ShardedLtc`] of the same
+    /// configuration.
     pub fn to_checkpoint(&self) -> Vec<u8> {
         let _ = self.sync();
-        encode_shards(self.shard_tables(), None, |shard| shard.to_snapshot())
+        encode_shards(self.shards(), None, |shard| shard.to_snapshot())
     }
 
     /// Restore every shard from a checkpoint frame, all-or-nothing: the
     /// frame is fully validated, the pipeline drained, the sections
-    /// staged, and only then committed. Lossy shards are revived with a
-    /// fresh worker and a full retry budget (restoring is an
-    /// operator-level reset).
+    /// staged, and only then committed. A frame whose shards disagree on
+    /// the period count is refused. Lossy shards are revived with a fresh
+    /// worker and a full retry budget (restoring is an operator-level
+    /// reset), and the runtime's period count continues from the restored
+    /// shards.
     ///
     /// # Errors
-    /// See [`CheckpointError`].
+    /// See [`CheckpointError`]; [`CheckpointError::PeriodMismatch`] for a
+    /// torn cut.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         let sections = decode_frame(bytes, self.fingerprint())?;
         self.restore_sections(&sections, None)
@@ -594,8 +650,9 @@ impl ParallelLtc {
     /// Both frame flavours restore: a full frame loads directly, a delta
     /// frame loads its base full frame (verified against the chain CRC the
     /// delta recorded) and applies the delta on top. A delta whose base is
-    /// missing, unreadable, or CRC-mismatched is skipped like a corrupt
-    /// frame — the chain falls back a generation. Returns the generation
+    /// missing, unreadable, or CRC-mismatched, and a frame whose shards
+    /// disagree on the period count, are skipped like a corrupt frame —
+    /// restore falls back a generation. Returns the generation
     /// restored. When the runtime is observable, the restore latency lands
     /// in `ltc_checkpoint_restore_ns`, every newer generation that was
     /// skipped bumps `ltc_checkpoint_fallbacks_total` (broken chains also
@@ -672,7 +729,8 @@ impl ParallelLtc {
     /// Fingerprint of the runtime's ordered shard configurations.
     fn fingerprint(&self) -> u64 {
         let configs: Vec<LtcConfig> = self
-            .shard_tables()
+            .shards()
+            .tables()
             .iter()
             .map(|table| *lock_recover(table).config())
             .collect();
@@ -680,26 +738,33 @@ impl ParallelLtc {
     }
 
     /// Drain the pipeline, stage `base` (and `delta` on top, for a chain)
-    /// into shard clones, and commit only once every section validated.
+    /// into shard clones, and commit only once every section validated and
+    /// the staged shards share one period count. Staging and commit hold
+    /// the period gate, so a running service never takes its sections from
+    /// a half-committed restore.
     fn restore_sections(
         &mut self,
         base: &[&[u8]],
         delta: Option<&[&[u8]]>,
     ) -> Result<(), CheckpointError> {
         let _ = self.sync(); // workers idle after this (all sends acked)
-        let staged = {
-            let guards: Vec<_> = self
-                .shard_tables()
+        let periods = {
+            let _gate = self.shards().hold_periods();
+            let mut guards: Vec<_> = self
+                .shards()
+                .tables()
                 .iter()
                 .map(|t| lock_recover(t))
                 .collect();
             let shards: Vec<&Ltc> = guards.iter().map(|guard| &**guard).collect();
-            staged_restore(&shards, base, delta)?
+            let staged = staged_restore(&shards, base, delta)?;
+            let periods = one_period_count(&staged)?;
+            for (guard, restored) in guards.iter_mut().zip(staged) {
+                **guard = restored;
+            }
+            periods
         };
-        for (table, restored) in self.shard_tables().iter().zip(staged) {
-            *lock_recover(table) = restored;
-        }
-        self.reset_after_restore();
+        self.reset_after_restore(periods);
         Ok(())
     }
 }
@@ -707,18 +772,23 @@ impl ParallelLtc {
 /// Lock each shard in turn, take its section with `section` under that
 /// lock, and encode the sections after `head` (a delta frame's `DLTA`
 /// header) as one frame fingerprinted over the shards' configurations.
+/// The sections are taken under the runtime's period gate, so they all
+/// share one period count; the encode runs after the gate is released.
 /// Every frame a runtime writes is built here.
 fn encode_shards(
-    tables: &[Arc<Mutex<Ltc>>],
+    shards: &ShardSet,
     head: Option<Vec<u8>>,
     mut section: impl FnMut(&mut Ltc) -> Vec<u8>,
 ) -> Vec<u8> {
     let mut sections: Vec<Vec<u8>> = head.into_iter().collect();
-    let mut configs = Vec::with_capacity(tables.len());
-    for table in tables {
-        let mut shard = lock_recover(table);
-        sections.push(section(&mut shard));
-        configs.push(*shard.config());
+    let mut configs = Vec::with_capacity(shards.tables().len());
+    {
+        let _gate = shards.hold_periods();
+        for table in shards.tables() {
+            let mut shard = lock_recover(table);
+            sections.push(section(&mut shard));
+            configs.push(*shard.config());
+        }
     }
     encode_frame(configs_fingerprint(&configs), &sections)
 }
@@ -732,14 +802,15 @@ fn encode_shards(
 ///
 /// Only the [`crate::durability::DurabilityService`] calls this, so a
 /// runtime's delta cursors have one writer. It holds clones of the shard
-/// `Arc`s (whose identity survives restore) rather than the runtime
-/// itself, and deliberately does **not** drain the pipeline — in-flight
+/// `Arc`s (whose identity survives restore) and of the runtime's period
+/// gate, in one [`ShardSet`], rather than the runtime itself, and
+/// deliberately does **not** drain the pipeline — in-flight
 /// records simply aren't acknowledged into this frame and land in the
 /// next one. If the publish fails the cursors have already moved, so the
 /// caller must not fall back to delta saves until a full save succeeds; a
 /// full frame never depends on the dirty state, so a retry loses nothing.
 pub(crate) fn save_full_over(
-    tables: &[Arc<Mutex<Ltc>>],
+    shards: &ShardSet,
     obs: Option<&RuntimeObs>,
     store: &Checkpointer,
     compaction: bool,
@@ -748,7 +819,7 @@ pub(crate) fn save_full_over(
     // Snapshot and epoch-open under the same lock: every mutation after
     // this instant lands in the next delta, every mutation before it is in
     // this frame — no gap, no overlap.
-    let frame = encode_shards(tables, None, |shard| {
+    let frame = encode_shards(shards, None, |shard| {
         let snapshot = shard.to_snapshot();
         shard.begin_delta_epoch();
         snapshot
@@ -781,7 +852,7 @@ pub(crate) fn save_full_over(
 /// grows by one; on failure it is unchanged, and a retry carries the same
 /// buckets. See [`save_full_over`] for the locking and draining contract.
 pub(crate) fn save_delta_over(
-    tables: &[Arc<Mutex<Ltc>>],
+    shards: &ShardSet,
     obs: Option<&RuntimeObs>,
     store: &Checkpointer,
     chain: &mut DeltaChain,
@@ -791,7 +862,7 @@ pub(crate) fn save_delta_over(
         length: chain.length.saturating_add(1),
         ..*chain
     });
-    let frame = encode_shards(tables, Some(header), |shard| shard.to_delta_snapshot());
+    let frame = encode_shards(shards, Some(header), |shard| shard.to_delta_snapshot());
     let generation = store.save_with_site(&frame, "checkpoint::delta_write")?;
     chain.length = chain.length.saturating_add(1);
     if let Some(obs) = obs {
@@ -926,21 +997,25 @@ impl Checkpointer {
     /// [`CheckpointError::Io`] without renaming a half-durable temp file
     /// into place.
     fn write_atomic(&self, path: &Path, frame: &[u8], site: &str) -> Result<(), CheckpointError> {
-        let mut buf = frame.to_vec();
-        match io_fault(site) {
-            Some(FailAction::Truncate { keep }) => buf.truncate(keep),
+        // Only a corrupt-byte failpoint needs a copy of the frame.
+        let corrupted;
+        let bytes = match io_fault(site) {
+            Some(FailAction::Truncate { keep }) => frame.get(..keep).unwrap_or(frame),
             Some(FailAction::CorruptByte { offset }) => {
-                if let Some(byte) = buf.get_mut(offset) {
+                let mut copy = frame.to_vec();
+                if let Some(byte) = copy.get_mut(offset) {
                     *byte ^= 0xFF;
                 }
+                corrupted = copy;
+                &corrupted
             }
-            _ => {}
-        }
+            _ => frame,
+        };
         let tmp = path.with_extension("tmp");
         {
             // lint:allow(atomic_io): this IS the atomic-rename helper
             let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&e))?;
-            file.write_all(&buf).map_err(|e| io_err(&e))?;
+            file.write_all(bytes).map_err(|e| io_err(&e))?;
             if let Some(FailAction::Error) = io_fault("checkpoint::fsync") {
                 // The injected failure must behave like a real one: the
                 // temp file is abandoned un-durable and never renamed.
@@ -1021,14 +1096,14 @@ mod tests {
     /// the pipeline so the frame covers every record sent.
     fn save_full(live: &ParallelLtc, store: &Checkpointer) -> DeltaChain {
         live.sync().unwrap();
-        save_full_over(live.shard_tables(), None, store, false).unwrap()
+        save_full_over(live.shards(), None, store, false).unwrap()
     }
 
     /// A delta save through the service's saver, after draining the
     /// pipeline.
     fn save_delta(live: &ParallelLtc, store: &Checkpointer, chain: &mut DeltaChain) -> u64 {
         live.sync().unwrap();
-        save_delta_over(live.shard_tables(), None, store, chain).unwrap()
+        save_delta_over(live.shards(), None, store, chain).unwrap()
     }
 
     fn loaded_table() -> Ltc {
@@ -1214,6 +1289,118 @@ mod tests {
         assert!(!b.top_k(5).is_empty());
     }
 
+    /// A 3-shard frame whose shard 1 closed one period more than the
+    /// others: a torn cut.
+    fn torn_cut_frame() -> Vec<u8> {
+        let mut sharded = ShardedLtc::new(config(), 3);
+        for i in 0..300u64 {
+            sharded.insert(i % 40);
+        }
+        sharded.end_period();
+        let mut shards = sharded.into_shards();
+        shards[1].end_period();
+        ShardedLtc::from_shards(shards).to_checkpoint()
+    }
+
+    #[test]
+    fn parallel_restore_refuses_a_torn_cut_and_leaves_the_table_untouched() {
+        let mut parallel = ParallelLtc::with_batch_size(config(), 3, 8);
+        parallel.insert(5);
+        let before = parallel.to_checkpoint();
+        assert_eq!(
+            parallel.restore_checkpoint(&torn_cut_frame()),
+            Err(CheckpointError::PeriodMismatch {
+                shard: 1,
+                expected: 1,
+                found: 2,
+            })
+        );
+        assert_eq!(
+            parallel.to_checkpoint(),
+            before,
+            "failed restore must not mutate"
+        );
+        parallel.finish().unwrap();
+    }
+
+    #[test]
+    fn sharded_restore_keeps_shards_at_different_period_counts() {
+        // Shards fed apart: the custom topology of the torn-cut frame, and
+        // a time-driven table whose shards close periods as their own
+        // records cross a boundary.
+        let time_driven = LtcConfig::builder()
+            .buckets(16)
+            .cells_per_bucket(4)
+            .weights(Weights::BALANCED)
+            .time_units_per_period(100)
+            .seed(11)
+            .build();
+        let mut shards = ShardedLtc::new(time_driven, 3).into_shards();
+        for (i, shard) in (0u64..).zip(shards.iter_mut()) {
+            for t in 0..(i + 1) * 150 {
+                shard.insert_at(t % 30, t);
+            }
+        }
+        let counts: Vec<u64> = shards.iter().map(Ltc::periods_completed).collect();
+        assert_eq!(counts, vec![1, 2, 4], "the shards sit at different counts");
+        let time_frame = ShardedLtc::from_shards(shards).to_checkpoint();
+        for (config, frame) in [(config(), torn_cut_frame()), (time_driven, time_frame)] {
+            let mut restored = ShardedLtc::new(config, 3);
+            restored.restore_checkpoint(&frame).unwrap();
+            assert_eq!(restored.to_checkpoint(), frame);
+        }
+    }
+
+    #[test]
+    fn parallel_restore_from_skips_a_torn_cut_for_the_older_generation() {
+        let scratch = ScratchDir::new("torn-cut");
+        let store = Checkpointer::new(scratch.path()).unwrap();
+        let mut sharded = ShardedLtc::new(config(), 3);
+        for i in 0..300u64 {
+            sharded.insert(i % 40);
+        }
+        sharded.end_period();
+        let good = sharded.to_checkpoint();
+        assert_eq!(store.save(&good).unwrap(), 1);
+        assert_eq!(store.save(&torn_cut_frame()).unwrap(), 2);
+        let mut restored = ParallelLtc::with_batch_size(config(), 3, 8);
+        assert_eq!(restored.restore_from(&store).unwrap(), 1);
+        assert_eq!(restored.to_checkpoint(), good);
+        assert_eq!(restored.obs().unwrap().checkpoint_fallbacks.get(), 1);
+        restored.finish().unwrap();
+    }
+
+    #[test]
+    fn restored_runtime_continues_the_period_count() {
+        let mut live = ParallelLtc::with_batch_size(config(), 2, 8);
+        for period in 0..3u64 {
+            for i in 0..100u64 {
+                live.insert(period * 7 + i % 20);
+            }
+            live.end_period().unwrap();
+        }
+        let frame = live.to_checkpoint();
+        live.finish().unwrap();
+        let mut fresh = ParallelLtc::with_batch_size(config(), 2, 8);
+        fresh.restore_checkpoint(&frame).unwrap();
+        let obs = std::sync::Arc::clone(fresh.obs().unwrap());
+        obs.journal().drain();
+        fresh.end_period().unwrap();
+        let rollovers: Vec<u64> = obs
+            .journal()
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == crate::obs::EventKind::PeriodRollover)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            rollovers,
+            vec![4],
+            "restored at period 3, next rollover is 4"
+        );
+        fresh.finish().unwrap();
+    }
+
     #[test]
     fn checkpointer_saves_numbered_generations_atomically() {
         let scratch = ScratchDir::new("gens");
@@ -1291,6 +1478,11 @@ mod tests {
             CheckpointError::NoCheckpoint,
             CheckpointError::BrokenChain { delta: 4, base: 2 },
             CheckpointError::AlreadyAttached,
+            CheckpointError::PeriodMismatch {
+                shard: 1,
+                expected: 3,
+                found: 4,
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -3,8 +3,8 @@
 //!
 //! The ingest path never touches disk. A [`DurabilityService`] owns clones
 //! of the runtime's shard handles (`Arc<Mutex<Ltc>>` — identity survives a
-//! checkpoint restore) and, on its own thread, periodically publishes
-//! checkpoint frames through a [`Checkpointer`]:
+//! checkpoint restore) and of its period gate, and, on its own thread,
+//! periodically publishes checkpoint frames through a [`Checkpointer`]:
 //!
 //! * the first frame — and every *compaction* — is a **full** frame: each
 //!   shard's complete snapshot, which also moves each shard's delta
@@ -29,19 +29,29 @@
 //! in the next one. That is the same at-most-once-per-epoch semantic the
 //! worker-supervision layer already documents.
 //!
+//! Every frame is a consistent cut of the period count: the service takes
+//! its sections under the runtime's period gate, which the runtime's
+//! barrier holds across each `end_period` and `finish` broadcast and its
+//! acks. The gate covers only the section capture, not the CRC, the write
+//! or the fsync, so a period close waits at most for one capture. A save,
+//! in turn, waits for a period close in progress. That includes the
+//! supervision of a worker that dies during the close: its restart's
+//! backoff ([`FaultPolicy::backoff_for`]) runs under the gate, because the
+//! rolled-back shard sits a period behind until the restarted worker
+//! applies the close.
+//!
 //! ## Fault handling
 //!
 //! A failed save (fsync error, rename error, disk full — or an injected
-//! failpoint) is retried under the service's [`FaultPolicy`]: up to
+//! failpoint) is retried under the policy's `faults`: up to
 //! `max_restarts` retries with the same exponential backoff the worker
 //! supervisor uses. A failed **full** save clears the chain — the delta
 //! cursors had already moved, so the service must not fall back to delta
 //! frames until a full frame lands (a full frame never depends on dirty
 //! state, so nothing is lost by retrying). Once the budget is exhausted
-//! the [`OnFault`] policy decides: `Degrade` skips the tick and tries
-//! again at the next one (durability lags, ingest is unaffected);
-//! `Stop` shuts the service down and flags it in
-//! [`DurabilityStatus::stopped_on_fault`].
+//! the tick is skipped, and a [`DurabilityService::checkpoint_now`]
+//! caller gets the error; the service tries again at the next tick
+//! (durability lags, ingest is unaffected).
 //!
 //! ## Prune safety
 //!
@@ -65,25 +75,10 @@ use crate::checkpoint::{
 use crate::config::FaultPolicy;
 use crate::obs::trace::{names, TraceTrack};
 use crate::obs::RuntimeObs;
-use crate::pipeline::ParallelLtc;
-use crate::table::Ltc;
+use crate::pipeline::{lock_recover, ParallelLtc, ShardSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// What the service does once a save has exhausted its retry budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnFault {
-    /// Skip the failed tick and try again at the next interval. Ingest is
-    /// unaffected; durability lags until a save succeeds. Failures are
-    /// counted in [`DurabilityStatus::failed_saves`].
-    #[default]
-    Degrade,
-    /// Shut the service down. [`DurabilityStatus::stopped_on_fault`] is
-    /// set and any blocked [`DurabilityService::checkpoint_now`] callers
-    /// receive the error.
-    Stop,
-}
 
 /// Knobs for the background durability service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,10 +92,9 @@ pub struct DurabilityPolicy {
     /// frame full. Also sets the prune clamp — see the module docs.
     pub max_chain_len: u32,
     /// Retry budget and backoff for failed saves (reuses the worker
-    /// supervisor's policy type).
+    /// supervisor's policy type). A save that exhausts it is skipped;
+    /// failures are counted in [`DurabilityStatus::failed_saves`].
     pub faults: FaultPolicy,
-    /// Behaviour once the retry budget is exhausted.
-    pub on_fault: OnFault,
 }
 
 impl Default for DurabilityPolicy {
@@ -109,7 +103,6 @@ impl Default for DurabilityPolicy {
             interval: Duration::from_millis(200),
             max_chain_len: 8,
             faults: FaultPolicy::default(),
-            on_fault: OnFault::Degrade,
         }
     }
 }
@@ -130,8 +123,6 @@ pub struct DurabilityStatus {
     pub chain_length: u32,
     /// Newest generation the service published.
     pub last_generation: Option<u64>,
-    /// The service stopped because [`OnFault::Stop`] fired.
-    pub stopped_on_fault: bool,
 }
 
 /// Cross-thread control block: explicit-checkpoint tickets and shutdown.
@@ -191,7 +182,7 @@ impl DurabilityService {
             store
         };
         let store = Arc::new(store);
-        let shards: Vec<Arc<Mutex<Ltc>>> = runtime.shard_tables().to_vec();
+        let shards = runtime.shards().clone();
         let obs = runtime.obs().cloned();
         let trace = obs
             .as_ref()
@@ -235,10 +226,7 @@ impl DurabilityService {
     /// [`CheckpointError::Io`] if the service has stopped.
     pub fn checkpoint_now(&self) -> Result<u64, CheckpointError> {
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         if guard.stop {
             return Err(CheckpointError::Io("durability service stopped".into()));
         }
@@ -266,10 +254,7 @@ impl DurabilityService {
 
     /// A snapshot of the service's counters.
     pub fn status(&self) -> DurabilityStatus {
-        match self.status.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        lock_recover(&self.status).clone()
     }
 
     /// The store the service publishes through (keep-limit clamp applied).
@@ -283,11 +268,7 @@ impl DurabilityService {
     pub fn stop(&mut self) {
         {
             let (lock, cvar) = &*self.control;
-            let mut guard = match lock.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.stop = true;
+            lock_recover(lock).stop = true;
             cvar.notify_all();
         }
         if let Some(handle) = self.handle.take() {
@@ -305,7 +286,8 @@ impl Drop for DurabilityService {
 
 /// State owned by the service thread.
 struct Worker {
-    shards: Vec<Arc<Mutex<Ltc>>>,
+    /// The runtime's shard tables and period gate.
+    shards: ShardSet,
     obs: Option<Arc<RuntimeObs>>,
     /// Span track for the durability thread; saves are root spans (this
     /// thread runs off the batch path, so there is no batch to parent to).
@@ -336,32 +318,20 @@ impl Worker {
                 Wake::Stop => break,
                 Wake::Tick => {
                     let _ = self.save_once();
-                    if self.stopped_on_fault() {
-                        break;
-                    }
                 }
                 Wake::Explicit => {
                     let result = self.save_once();
                     let (lock, cvar) = &*self.control;
-                    let mut guard = match lock.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
+                    let mut guard = lock_recover(lock);
                     guard.served = guard.served.saturating_add(1);
                     guard.last = Some(result);
                     cvar.notify_all();
-                    if self.stopped_on_fault() {
-                        break;
-                    }
                 }
             }
         }
         // Release anyone still blocked in checkpoint_now.
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         guard.stop = true;
         guard.served = guard.tickets;
         if guard.last.is_none() {
@@ -375,10 +345,7 @@ impl Worker {
     /// Block until the next tick, an explicit ticket, or shutdown.
     fn wait(&self) -> Wake {
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         loop {
             if guard.stop {
                 return Wake::Stop;
@@ -408,7 +375,8 @@ impl Worker {
     }
 
     /// One logical save — full or delta per the cadence — with the fault
-    /// policy's retry budget around it.
+    /// policy's retry budget around it. Once the budget is exhausted the
+    /// save is skipped and its error returned.
     fn save_once(&mut self) -> Result<u64, CheckpointError> {
         let mut attempt = 0u32;
         loop {
@@ -422,9 +390,6 @@ impl Worker {
                     self.with_status(|s| s.failed_saves = s.failed_saves.saturating_add(1));
                     attempt = attempt.saturating_add(1);
                     if attempt > self.policy.faults.max_restarts {
-                        if self.policy.on_fault == OnFault::Stop {
-                            self.with_status(|s| s.stopped_on_fault = true);
-                        }
                         return Err(error);
                     }
                     let backoff = self.policy.faults.backoff_for(attempt);
@@ -487,25 +452,15 @@ impl Worker {
         }
     }
 
-    fn stopped_on_fault(&self) -> bool {
-        match self.status.lock() {
-            Ok(guard) => guard.stopped_on_fault,
-            Err(poisoned) => poisoned.into_inner().stopped_on_fault,
-        }
-    }
-
     fn with_status(&self, f: impl FnOnce(&mut DurabilityStatus)) {
-        let mut guard = match self.status.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard);
+        f(&mut lock_recover(&self.status));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{decode_frame, DELTA_SECTION_MAGIC};
     use crate::config::LtcConfig;
     use ltc_common::Weights;
     use std::path::{Path, PathBuf};
@@ -752,5 +707,78 @@ mod tests {
         let store = Checkpointer::new(scratch.path()).unwrap();
         assert!(store.latest().unwrap().is_some());
         runtime.finish().unwrap();
+    }
+
+    /// Run a 4-shard runtime through 400 periods under a service ticking
+    /// every 300 µs, keeping every generation it writes. Returns how many
+    /// frames it wrote and the ones whose shard sections disagree on the
+    /// period count: the count sits at bytes 13..21 of each `LTC1` or
+    /// `LTCD` section, and a delta frame's sections follow its `DLTA`
+    /// header.
+    fn frames_with_mixed_periods(max_chain_len: u32) -> (usize, Vec<(u64, Vec<u64>)>) {
+        let scratch = ScratchDir::new("cut");
+        let config = LtcConfig::builder()
+            .buckets(256)
+            .cells_per_bucket(8)
+            .weights(Weights::BALANCED)
+            .records_per_period(4_000)
+            .seed(11)
+            .build();
+        let mut runtime = ParallelLtc::new(config, 4);
+        let store = Checkpointer::new(scratch.path())
+            .unwrap()
+            .keep_generations(usize::MAX);
+        let policy = DurabilityPolicy {
+            interval: Duration::from_micros(300),
+            max_chain_len,
+            faults: FaultPolicy::no_backoff(),
+        };
+        let service = DurabilityService::attach(&runtime, store, policy).unwrap();
+        let mut ids = Vec::with_capacity(4_000);
+        for period in 0..400u64 {
+            ids.clear();
+            ids.extend((0..4_000u64).map(|i| (period * 31 + i * 7) % 3_000));
+            runtime.insert_batch(&ids);
+            runtime.end_period().unwrap();
+        }
+        drop(service);
+        runtime.finish().unwrap();
+        let store = Checkpointer::new(scratch.path()).unwrap();
+        let generations = store.generations().unwrap();
+        let mut mixed = Vec::new();
+        for &generation in &generations {
+            let bytes = store.load(generation).unwrap();
+            let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+            let counts: Vec<u64> = decode_frame(&bytes, fingerprint)
+                .unwrap()
+                .into_iter()
+                .filter(|section| !section.starts_with(DELTA_SECTION_MAGIC))
+                .map(|section| u64::from_le_bytes(section[13..21].try_into().unwrap()))
+                .collect();
+            assert_eq!(counts.len(), 4, "generation {generation}");
+            if counts.iter().any(|&count| count != counts[0]) {
+                mixed.push((generation, counts));
+            }
+        }
+        (generations.len(), mixed)
+    }
+
+    #[test]
+    fn timer_frames_are_consistent_cuts_across_shards() {
+        let mut torn = Vec::new();
+        for max_chain_len in [0, DurabilityPolicy::default().max_chain_len] {
+            let (frames, mixed) = frames_with_mixed_periods(max_chain_len);
+            assert!(frames >= 10, "the timer published only {frames} frames");
+            if let Some(first) = mixed.first() {
+                torn.push(format!(
+                    "max_chain_len {max_chain_len}: {} of {frames} frames mix period \
+                     counts, the first generation {} at {:?}",
+                    mixed.len(),
+                    first.0,
+                    first.1
+                ));
+            }
+        }
+        assert!(torn.is_empty(), "{}", torn.join("; "));
     }
 }

@@ -76,7 +76,7 @@ pub use cell::Cell;
 pub use checkpoint::{CheckpointError, Checkpointer};
 pub use clock::ClockPointer;
 pub use config::{FaultPolicy, LtcConfig, LtcConfigBuilder, PeriodMode, Variant};
-pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus, OnFault};
+pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus};
 pub use merge::MergeError;
 pub use obs::{EventJournal, EventKind, MetricsRegistry, RuntimeObs};
 pub use pipeline::{FaultKind, ParallelLtc, RuntimeError, ShardHealth, WorkerFault};

@@ -1,33 +1,30 @@
-//! Bounded lock-free journal of structured runtime events.
+//! Bounded journal of structured runtime events.
 //!
-//! The journal is a fixed-capacity MPMC ring in the style of Vyukov's
-//! bounded queue, built entirely from per-slot atomics (stamp + payload
-//! words) so it needs no `unsafe` and no locks. Producers — shard workers,
-//! the supervisor, the checkpoint layer — publish events with a single CAS
-//! claim plus a release-store of the slot stamp; consumers drain with the
-//! symmetric CAS, so the runtime never stops to be observed.
+//! Events are rare — about two per period — and come from two threads:
+//! the runtime's owner thread (period rollovers, health audits, worker
+//! supervision, restores, `checkpoint_to`) and the durability service's
+//! thread (checkpoint, delta and compaction publishes). So the journal is
+//! a bounded `VecDeque` behind one lock: a publish or a pop holds it for
+//! one push or one pop, and no record path ever takes it.
 //!
-//! **Sequence numbers** are the ring's claim positions: every *published*
-//! event gets the next integer, in publication order, so a reader can
-//! detect reordering or correlate an event with [`ShardHealth`]'s
-//! `last_fault_seq` (see `pipeline.rs`). **Drop semantics**: when the ring
-//! is full the *newest* event is dropped — publishing never blocks and
-//! never overwrites history a drainer is about to read — and the drop is
-//! counted in [`EventJournal::dropped`]. Because a dropped event never
-//! claims a position, the sequence numbers of published events stay
+//! **Sequence numbers**: every *published* event gets the next integer,
+//! in publication order, so a reader can detect reordering or correlate
+//! an event with [`ShardHealth`]'s `last_fault_seq` (see `pipeline.rs`).
+//! **Drop semantics**: when the journal is full the *newest* event is
+//! dropped — publishing never overwrites history a drainer is about to
+//! read — and the drop is counted in [`EventJournal::dropped`]. A dropped
+//! event takes no sequence number, so the seqs of published events stay
 //! contiguous: a gap in drained seqs means events were drained by someone
 //! else, not silently lost.
 //!
 //! [`ShardHealth`]: crate::pipeline::ShardHealth
 
-use crate::shim::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::shim::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 
 /// Default journal capacity (events). Power of two; plenty for the rare
 /// fault/rollover cadence the runtime produces between drains.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
-
-/// Sentinel for "no shard" in the packed shard word.
-const NO_SHARD: u64 = u64::MAX;
 
 /// What happened. Each kind's `detail` word (see [`Event::detail`]) carries
 /// the kind-specific datum noted here.
@@ -67,36 +64,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    fn code(self) -> u64 {
-        match self {
-            EventKind::PeriodRollover => 0,
-            EventKind::WorkerFault => 1,
-            EventKind::Rollback => 2,
-            EventKind::Degradation => 3,
-            EventKind::CheckpointPublish => 4,
-            EventKind::CheckpointRestore => 5,
-            EventKind::DeltaPublish => 6,
-            EventKind::Compaction => 7,
-            EventKind::ChainFallback => 8,
-            EventKind::HealthReport => 9,
-        }
-    }
-
-    fn from_code(code: u64) -> Self {
-        match code {
-            0 => EventKind::PeriodRollover,
-            1 => EventKind::WorkerFault,
-            2 => EventKind::Rollback,
-            3 => EventKind::Degradation,
-            4 => EventKind::CheckpointPublish,
-            6 => EventKind::DeltaPublish,
-            7 => EventKind::Compaction,
-            8 => EventKind::ChainFallback,
-            9 => EventKind::HealthReport,
-            _ => EventKind::CheckpointRestore,
-        }
-    }
-
     /// Stable lowercase name, used as a label value in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -128,37 +95,21 @@ pub struct Event {
     pub detail: u64,
 }
 
-/// One ring slot: a Vyukov stamp plus the event payload as plain atomic
-/// words. The stamp is the synchronisation point (release-published,
-/// acquire-read); payload words only need to be written before the stamp
-/// release and read after the stamp acquire.
+/// The journal's state, all under one lock.
 #[derive(Debug)]
-struct Slot {
-    // ordering: load=Acquire, store=Release -- the Vyukov stamp is the slot's publication point: payload words are written before the release store and read after the acquire load
-    stamp: AtomicUsize,
-    // ordering: load=Relaxed, store=Relaxed -- payload word, ordered solely by the stamp edge
-    seq: AtomicU64,
-    // ordering: load=Relaxed, store=Relaxed -- payload word, ordered solely by the stamp edge
-    kind: AtomicU64,
-    // ordering: load=Relaxed, store=Relaxed -- payload word, ordered solely by the stamp edge
-    shard: AtomicU64,
-    // ordering: load=Relaxed, store=Relaxed -- payload word, ordered solely by the stamp edge
-    detail: AtomicU64,
+struct Ring {
+    events: VecDeque<Event>,
+    /// The seq the next published event takes.
+    next_seq: u64,
+    dropped: u64,
 }
 
-/// Bounded lock-free MPMC journal of [`Event`]s. See the module docs for
-/// the publication protocol and drop semantics.
+/// Bounded journal of [`Event`]s. See the module docs for the sequence
+/// and drop semantics.
 #[derive(Debug)]
 pub struct EventJournal {
-    slots: Vec<Slot>,
-    mask: usize,
-    /// Next claim position for producers; doubles as the seq counter.
-    // ordering: load=Relaxed, rmw=Relaxed -- claim counter; the CAS only needs atomicity, publication rides the stamp edge
-    enqueue_pos: AtomicUsize,
-    // ordering: load=Relaxed, rmw=Relaxed -- claim counter; the CAS only needs atomicity, recycling rides the stamp edge
-    dequeue_pos: AtomicUsize,
-    // ordering: load=Relaxed, rmw=Relaxed -- statistic; no ordering obligations
-    dropped: AtomicU64,
+    ring: Mutex<Ring>,
+    capacity: usize,
 }
 
 impl Default for EventJournal {
@@ -177,139 +128,69 @@ impl EventJournal {
     /// A journal with the given capacity, rounded up to a power of two
     /// (minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                stamp: AtomicUsize::new(i),
-                seq: AtomicU64::new(0),
-                kind: AtomicU64::new(0),
-                shard: AtomicU64::new(NO_SHARD),
-                detail: AtomicU64::new(0),
-            })
-            .collect();
+        let capacity = capacity.max(2).next_power_of_two();
         Self {
-            slots,
-            mask: cap.wrapping_sub(1),
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity),
+                next_seq: 0,
+                dropped: 0,
+            }),
+            capacity,
         }
     }
 
-    /// Number of events the ring can hold undrained.
+    /// Poison-tolerant lock: a panicking publisher cannot leave the ring
+    /// half-updated, since every mutation is one push, pop or increment.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        match self.ring.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Number of events the journal can hold undrained.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Events dropped because the ring was full at publication time.
+    /// Events dropped because the journal was full at publication time.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.lock().dropped
     }
 
-    /// Publish an event. Lock-free: a bounded CAS loop to claim a slot,
-    /// payload stores, and one release store. Returns the event's sequence
-    /// number, or `None` if the ring was full (the event is dropped and
-    /// counted — publishing never blocks).
+    /// Publish an event. Returns its sequence number, or `None` if the
+    /// journal was full (the event is dropped and counted).
     pub fn publish(&self, kind: EventKind, shard: Option<u64>, detail: u64) -> Option<u64> {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = self.slots.get(pos & self.mask)?;
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            // Vyukov stamp discipline: == pos means free to claim, < pos
-            // means the consumer has not yet recycled it (ring full).
-            if stamp == pos {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let seq = pos as u64;
-                        slot.seq.store(seq, Ordering::Relaxed);
-                        slot.kind.store(kind.code(), Ordering::Relaxed);
-                        slot.shard
-                            .store(shard.unwrap_or(NO_SHARD), Ordering::Relaxed);
-                        slot.detail.store(detail, Ordering::Relaxed);
-                        // Publish: consumers acquire this stamp before
-                        // reading the payload words above.
-                        slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
-                        return Some(seq);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if stamp.wrapping_sub(pos) > self.mask {
-                // Stamp lags pos by a full lap: ring is full. Drop-newest.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return None;
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        let mut ring = self.lock();
+        if ring.events.len() >= self.capacity {
+            ring.dropped = ring.dropped.saturating_add(1);
+            return None;
         }
+        let seq = ring.next_seq;
+        ring.next_seq = seq.saturating_add(1);
+        ring.events.push_back(Event {
+            seq,
+            kind,
+            shard,
+            detail,
+        });
+        Some(seq)
     }
 
-    /// Pop the oldest undrained event, if any. Lock-free; safe to call
-    /// concurrently with publishers and other drainers.
+    /// Pop the oldest undrained event, if any.
     pub fn pop(&self) -> Option<Event> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = self.slots.get(pos & self.mask)?;
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            let expected = pos.wrapping_add(1);
-            if stamp == expected {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let event = Event {
-                            seq: slot.seq.load(Ordering::Relaxed),
-                            kind: EventKind::from_code(slot.kind.load(Ordering::Relaxed)),
-                            shard: match slot.shard.load(Ordering::Relaxed) {
-                                NO_SHARD => None,
-                                s => Some(s),
-                            },
-                            detail: slot.detail.load(Ordering::Relaxed),
-                        };
-                        // Recycle: mark the slot free for the producer one
-                        // lap ahead.
-                        slot.stamp.store(
-                            pos.wrapping_add(self.mask).wrapping_add(1),
-                            Ordering::Release,
-                        );
-                        return Some(event);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if stamp == pos {
-                // Slot not yet published at this lap: ring is empty.
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+        self.lock().events.pop_front()
     }
 
-    /// Drain every currently published event, oldest first, without
-    /// stopping publishers. Events published concurrently with the drain
-    /// may or may not be included; they stay queued for the next drain if
-    /// not.
+    /// Drain every queued event, oldest first. Events published while the
+    /// drain runs stay queued for the next drain.
     pub fn drain(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        while let Some(event) = self.pop() {
-            out.push(event);
-        }
-        out
+        self.lock().events.drain(..).collect()
     }
 
-    /// Events currently queued (published, not yet drained). Approximate
-    /// under concurrency.
+    /// Events currently queued (published, not yet drained).
     pub fn len(&self) -> usize {
-        let head = self.enqueue_pos.load(Ordering::Relaxed);
-        let tail = self.dequeue_pos.load(Ordering::Relaxed);
-        head.wrapping_sub(tail).min(self.slots.len())
+        self.lock().events.len()
     }
 
     /// True when no published events are queued.
@@ -431,7 +312,6 @@ mod tests {
             EventKind::ChainFallback,
             EventKind::HealthReport,
         ] {
-            assert_eq!(EventKind::from_code(kind.code()), kind);
             assert!(!kind.name().is_empty());
         }
     }

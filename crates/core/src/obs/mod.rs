@@ -1,4 +1,4 @@
-//! Zero-dependency observability layer: wait-free metrics, a lock-free
+//! Zero-dependency observability layer: wait-free metrics, a bounded
 //! structured event journal, and Prometheus/JSON export.
 //!
 //! Three tiers, by how hot the touching code path is:
@@ -7,10 +7,10 @@
 //!    handles. These are the only types the per-batch / per-record paths
 //!    may touch, and every update is wait-free. Enforced by the
 //!    `obs_hot_path` rule of `cargo run -p xtask -- lint`.
-//! 2. [`journal`] — a bounded lock-free MPMC [`EventJournal`] for rare
+//! 2. [`journal`] — a bounded [`EventJournal`] behind one lock for rare
 //!    structured events (faults, rollbacks, checkpoints, period
-//!    rollovers), publishable from workers without blocking and drainable
-//!    without stopping them.
+//!    rollovers). Its publishers are the runtime's owner thread and the
+//!    durability thread, about two events per period; no worker publishes.
 //! 3. [`registry`] + [`export`] — the `Mutex`-guarded [`MetricsRegistry`]
 //!    and renderers, touched only at construction and export time.
 //!

@@ -30,12 +30,12 @@
 //!
 //! A shard worker that panics (a bug, a poisoned input, an injected
 //! failpoint) no longer aborts the process. The worker catches the unwind,
-//! reports a typed [`WorkerFault`] to the coordinator, poisons its queue
-//! (so the router can never block on it) and marks its [`Progress`] barrier
-//! dead (so a waiting `end_period` returns instead of deadlocking). The
-//! coordinator then *supervises* the lane:
+//! poisons its queue (so the router can never block on it), marks its
+//! [`Progress`] barrier dead (so a waiting `end_period` returns instead of
+//! deadlocking) and exits with a typed [`WorkerFault`] as its thread's
+//! result. The coordinator then *supervises* the lane:
 //!
-//! 1. the dead worker is joined and its fault collected;
+//! 1. the dead worker is joined, and the join yields its fault;
 //! 2. the shard table is rolled back to its **rollback image** — a copy of
 //!    the table that the worker brings up to date at every period boundary
 //!    by copying only the bucket tiles dirtied since its last capture
@@ -47,7 +47,10 @@
 //!    boundary completes;
 //! 4. once the budget is exhausted the shard is marked **lossy**: records
 //!    routed to it are dropped (and counted), while queries keep serving
-//!    the shard's last-good state alongside the healthy shards.
+//!    the shard's last-good state alongside the healthy shards. Each
+//!    period the runtime closes still closes on a lossy shard's table,
+//!    with no records, so every shard keeps one period count and a
+//!    degraded runtime's checkpoints restore.
 //!
 //! Records between the last period boundary and the fault are lost — that
 //! is the documented recovery semantic (at-most-once per shard epoch), and
@@ -383,7 +386,6 @@ struct WorkerCtx {
     queue: Arc<SpscRing<Msg>>,
     shard: Arc<Mutex<Ltc>>,
     progress: Arc<Progress>,
-    fault: Arc<Mutex<Option<WorkerFault>>>,
     /// The shard's rollback image, which this worker brings up to date
     /// under the shard lock at every `EndPeriod` and `Finish`.
     last_good: Arc<Mutex<RollbackImage>>,
@@ -404,13 +406,12 @@ struct Lane {
     sent: u64,
     queue: Arc<SpscRing<Msg>>,
     progress: Arc<Progress>,
-    /// The worker's fault report slot, written before `mark_dead`.
-    fault: Arc<Mutex<Option<WorkerFault>>>,
     /// The shard's rollback image as of its last period boundary: the
     /// worker copies the tiles dirtied since its previous capture into it,
     /// and supervision copies it back whole.
     last_good: Arc<Mutex<RollbackImage>>,
-    worker: Option<JoinHandle<()>>,
+    /// The running worker; joining a dead one yields its fault.
+    worker: Option<JoinHandle<Option<WorkerFault>>>,
     /// Restarts consumed from the budget.
     restarts: u32,
     /// `Some(fault)` once the budget is exhausted.
@@ -446,11 +447,38 @@ struct Inner {
     trace: Option<RouterTrace>,
 }
 
+/// A runtime's shard tables and its period gate, as one handle that the
+/// checkpoint layer borrows and the durability service clones. The barrier
+/// holds the gate across an `EndPeriod` or `Finish` broadcast, its acks
+/// and the lossy shards' matching close; a checkpoint holds it while it
+/// takes the shards' sections, and a restore while it commits. So every
+/// frame sees every shard at one period count.
+#[derive(Clone)]
+pub(crate) struct ShardSet {
+    /// The shard tables in shard order; their `Arc` identity survives a
+    /// restore.
+    tables: Vec<Arc<Mutex<Ltc>>>,
+    period_gate: Arc<Mutex<()>>,
+}
+
+impl ShardSet {
+    /// The shard tables, in shard order.
+    pub(crate) fn tables(&self) -> &[Arc<Mutex<Ltc>>] {
+        &self.tables
+    }
+
+    /// Hold the period gate: no period closes, and no restore commits,
+    /// until the guard drops.
+    pub(crate) fn hold_periods(&self) -> MutexGuard<'_, ()> {
+        lock_recover(&self.period_gate)
+    }
+}
+
 /// The multi-threaded sharded LTC runtime with supervised workers. See the
 /// module docs.
 pub struct ParallelLtc {
     inner: Mutex<Inner>,
-    shards: Vec<Arc<Mutex<Ltc>>>,
+    shards: ShardSet,
     batch_size: usize,
     policy: FaultPolicy,
     /// Shared observability state (`None` = metrics off, for overhead
@@ -458,7 +486,8 @@ pub struct ParallelLtc {
     obs: Option<Arc<RuntimeObs>>,
     /// Per-period algorithm-health auditor (`None` = metrics off).
     auditor: Option<HealthAuditor>,
-    /// Periods completed (drives the rollover journal events).
+    /// Periods completed (drives the rollover journal events; a restore
+    /// sets it from the restored shards).
     periods: u64,
     /// Checkpoint restores performed (feeds the auditor's rollback drift
     /// signal alongside the per-lane restart counts).
@@ -471,7 +500,7 @@ pub struct ParallelLtc {
 impl std::fmt::Debug for ParallelLtc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelLtc")
-            .field("num_shards", &self.shards.len())
+            .field("num_shards", &self.shards.tables.len())
             .field("batch_size", &self.batch_size)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
@@ -482,7 +511,7 @@ impl std::fmt::Debug for ParallelLtc {
 /// the OS refuses the thread, so supervision can degrade gracefully. The
 /// `worker::spawn` failpoint's [`FailAction::Error`](crate::failpoint::FailAction::Error)
 /// stands in for that refusal.
-fn spawn_worker(ctx: WorkerCtx) -> Result<JoinHandle<()>, WorkerFault> {
+fn spawn_worker(ctx: WorkerCtx) -> Result<JoinHandle<Option<WorkerFault>>, WorkerFault> {
     let shard_index = ctx.shard_index;
     let spawn_failed = |message: String| WorkerFault {
         shard: shard_index,
@@ -512,12 +541,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_loop(ctx: &WorkerCtx) {
+/// Apply messages until `Shutdown` or a torn-down lane (`None`), or until
+/// a handler panics: then the worker poisons its queue, marks its barrier
+/// dead and returns the fault, which the supervisor's join collects.
+fn worker_loop(ctx: &WorkerCtx) -> Option<WorkerFault> {
     loop {
-        let Some(msg) = ctx.queue.pop() else {
-            // Poisoned and drained: the supervisor tore this lane down.
-            return;
-        };
+        // `None` once poisoned and drained: the supervisor tore this lane
+        // down.
+        let msg = ctx.queue.pop()?;
         let stop = matches!(msg, Msg::Shutdown);
         // Pre-derive the apply span's identity from the shipped context
         // *before* entering `catch_unwind`: a panicking handler still
@@ -582,20 +613,17 @@ fn worker_loop(ctx: &WorkerCtx) {
             if let (Some(t), Some((span, _, _))) = (&ctx.trace, &span_plan) {
                 t.event(names::WORKER_FAULT, Some(*span));
             }
-            // Typed fault next, then poison + mark dead: the router
-            // observes `dead` only after the report is in place.
-            *lock_recover(&ctx.fault) = Some(WorkerFault {
+            ctx.queue.poison();
+            ctx.progress.mark_dead();
+            return Some(WorkerFault {
                 shard: ctx.shard_index,
                 kind: FaultKind::Panic,
                 message: panic_message(payload.as_ref()),
             });
-            ctx.queue.poison();
-            ctx.progress.mark_dead();
-            return;
         }
         ctx.progress.bump();
         if stop {
-            return;
+            return None;
         }
     }
 }
@@ -693,7 +721,7 @@ fn degrade(lane: &mut Lane, fault: WorkerFault, obs: Option<&RuntimeObs>) {
     }
 }
 
-/// Start a worker for `lane` on a fresh queue, barrier and fault slot,
+/// Start a worker for `lane` on a fresh queue and barrier,
 /// ingesting into `shard` from its current state. The one spawn path: the
 /// constructor, supervision and the post-restore revive all come here, so
 /// a refused spawn is handled the same way everywhere — journaled as the
@@ -707,14 +735,12 @@ fn start_worker(
 ) -> bool {
     lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
     lane.progress = Arc::new(Progress::new());
-    lane.fault = Arc::new(Mutex::new(None));
     lane.sent = 0;
     let ctx = WorkerCtx {
         shard_index,
         queue: Arc::clone(&lane.queue),
         shard: Arc::clone(shard),
         progress: Arc::clone(&lane.progress),
-        fault: Arc::clone(&lane.fault),
         last_good: Arc::clone(&lane.last_good),
         obs: lane.obs.clone(),
         trace: lane.trace.clone(),
@@ -749,17 +775,20 @@ fn supervise_lane(
         return;
     }
     // 1. The worker is gone (it poisoned the queue / marked the barrier
-    //    dead on its way out); joining cannot block.
-    if let Some(handle) = lane.worker.take() {
-        let _ = handle.join();
-    }
-    let fault = lock_recover(&lane.fault)
-        .take()
-        .unwrap_or_else(|| WorkerFault {
+    //    dead on its way out); joining cannot block, and yields its fault.
+    let fault = match lane.worker.take().map(JoinHandle::join) {
+        Some(Ok(Some(fault))) => fault,
+        Some(Err(payload)) => WorkerFault {
+            shard: shard_index,
+            kind: FaultKind::Panic,
+            message: panic_message(payload.as_ref()),
+        },
+        _ => WorkerFault {
             shard: shard_index,
             kind: FaultKind::Silent,
             message: "worker exited without reporting a fault".to_string(),
-        });
+        },
+    };
     // Observe the fault before acting on it, so the journal seq exists by
     // the time health() can report the new state.
     note_fault(lane, &fault, obs);
@@ -936,7 +965,6 @@ impl ParallelLtc {
                     sent: 0,
                     queue: Arc::new(fresh_ring(shard_obs.as_ref())),
                     progress: Arc::new(Progress::new()),
-                    fault: Arc::new(Mutex::new(None)),
                     // The initial image is the pristine shard: a worker
                     // that dies before its first period boundary rolls back
                     // to an empty (but correctly configured) table.
@@ -965,7 +993,10 @@ impl ParallelLtc {
         let auditor = obs.as_ref().map(|o| HealthAuditor::new(o));
         Self {
             inner: Mutex::new(Inner { lanes, trace }),
-            shards,
+            shards: ShardSet {
+                tables: shards,
+                period_gate: Arc::new(Mutex::new(())),
+            },
             batch_size,
             policy,
             obs,
@@ -978,7 +1009,7 @@ impl ParallelLtc {
 
     /// Number of shards (= worker threads).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shards.tables.len()
     }
 
     /// Hand-off batch size.
@@ -1009,12 +1040,13 @@ impl ParallelLtc {
         let _ = self.sync();
         let mut merged: LtcStats = self
             .shards
+            .tables
             .iter()
             .map(|shard| lock_recover(shard).stats())
             .sum();
         merged.periods = merged
             .periods
-            .checked_div(self.shards.len() as u64)
+            .checked_div(self.shards.tables.len() as u64)
             .unwrap_or(0);
         merged
     }
@@ -1026,45 +1058,27 @@ impl ParallelLtc {
     /// lock-free [`spsc`](crate::spsc) ring.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
-        let n = self.shards.len();
-        let batch_size = self.batch_size;
-        let shard_index = shard_of_id(id, n);
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
-        // `shard_of_id` returns a value below `n`, so the lookups succeed.
-        if let (Some(lane), Some(shard)) = (lanes.get_mut(shard_index), shards.get(shard_index)) {
-            if !route_one(lane, batch_size, id, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
-            }
-        }
+        self.insert_batch(std::slice::from_ref(&id));
     }
 
     /// Route a whole run of records — one routing pass, then per-shard
     /// hand-off of every batch that filled, over the
     /// [`spsc`](crate::spsc) rings.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
-        let n = self.shards.len();
+        let n = self.shards.tables.len();
         let batch_size = self.batch_size;
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
+        let policy = &self.policy;
+        let obs = self.obs.as_deref();
+        let shards = &self.shards.tables;
+        let Inner { lanes, trace } = inner_mut(&mut self.inner);
         for &id in ids {
             let shard_index = shard_of_id(id, n);
+            // `shard_of_id` returns a value below `n`, so the lookups
+            // succeed.
             if let (Some(lane), Some(shard)) = (lanes.get_mut(shard_index), shards.get(shard_index))
             {
                 if !route_one(lane, batch_size, id, trace.as_mut()) {
-                    supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
+                    supervise_lane(lane, shard, shard_index, policy, None, obs);
                 }
             }
         }
@@ -1118,7 +1132,7 @@ impl ParallelLtc {
                 .as_ref()
                 .map(|t| (t.track.clone(), t.last_barrier))
         };
-        let shards = &self.shards;
+        let shards = &self.shards.tables;
         if let Some(auditor) = self.auditor.as_mut() {
             let _span = audit_span
                 .as_ref()
@@ -1181,13 +1195,19 @@ impl ParallelLtc {
     /// `barrier_wait` span opens after the flush pass (parented under the
     /// last `batch_enqueue`, so the drained batch's tree contains the wait
     /// that drained it), ships its context inside the control messages,
-    /// and closes once every worker has acknowledged.
+    /// and closes once every worker has acknowledged. An `EndPeriod` or
+    /// `Finish` broadcast, its acks and the lossy shards' period close run
+    /// under the period gate, so no checkpoint takes its sections while the
+    /// shards' period counts disagree. A worker that dies in that window is
+    /// supervised under the gate too (its rolled-back shard sits a period
+    /// behind until the re-sent message is applied), so a save can wait
+    /// out a restart's backoff.
     fn barrier(&self, ctrl: Option<Ctrl>) -> Result<(), RuntimeError> {
         let obs = self.obs.as_deref();
         let mut inner = lock_recover(&self.inner);
         let Inner { lanes, trace } = &mut *inner;
         // Pass 1: flush every lane's pending batch.
-        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
+        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards.tables) {
             if !flush_lane(lane, self.batch_size, trace.as_mut()) {
                 supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
             }
@@ -1195,10 +1215,14 @@ impl ParallelLtc {
         let barrier = trace
             .as_ref()
             .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
+        let _gate = matches!(ctrl, Some(Ctrl::EndPeriod | Ctrl::Finish))
+            .then(|| self.shards.hold_periods());
         // Pass 2: enqueue the control message on every live queue.
         if let Some(ctrl) = ctrl {
             let barrier_ctx = barrier.as_ref().map(|(_, p)| p.ctx);
-            for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
+            for ((shard_index, lane), shard) in
+                lanes.iter_mut().enumerate().zip(&self.shards.tables)
+            {
                 if lane.lossy.is_some() {
                     continue;
                 }
@@ -1209,9 +1233,19 @@ impl ParallelLtc {
             }
         }
         let start = obs.map(|_| Instant::now());
-        wait_all(lanes, &self.shards, &self.policy, ctrl, obs);
+        wait_all(lanes, &self.shards.tables, &self.policy, ctrl, obs);
         if let (Some(obs), Some(start)) = (obs, start) {
             obs.barrier_wait_ns.record(elapsed_ns(start));
+        }
+        // A lossy shard gets no records, but it closes the period with the
+        // live ones, still under the gate: a rollback left it at the
+        // previous count, and a frame that mixed counts would not restore.
+        if matches!(ctrl, Some(Ctrl::EndPeriod)) {
+            for (lane, shard) in lanes.iter().zip(&self.shards.tables) {
+                if lane.lossy.is_some() {
+                    lock_recover(shard).end_period();
+                }
+            }
         }
         if let Some((track, pending)) = barrier {
             track.finish(&pending, names::BARRIER_WAIT);
@@ -1256,7 +1290,7 @@ impl ParallelLtc {
                 faults.push(fault);
             }
         }
-        let shards = std::mem::take(&mut self.shards)
+        let shards = std::mem::take(&mut self.shards.tables)
             .into_iter()
             .map(|arc| match Arc::try_unwrap(arc) {
                 Ok(mutex) => match mutex.into_inner() {
@@ -1294,8 +1328,9 @@ impl ParallelLtc {
     }
 
     fn read_estimate(&self, id: ItemId) -> Option<f64> {
-        let shard = shard_of_id(id, self.shards.len());
+        let shard = shard_of_id(id, self.shards.tables.len());
         self.shards
+            .tables
             .get(shard)
             .and_then(|shard| lock_recover(shard).estimate(id))
     }
@@ -1303,14 +1338,15 @@ impl ParallelLtc {
     fn read_top_k(&self, k: usize) -> Vec<Estimate> {
         let candidates: Vec<Estimate> = self
             .shards
+            .tables
             .iter()
             .flat_map(|shard| lock_recover(shard).top_k(k))
             .collect();
         top_k_of(candidates, k)
     }
 
-    /// Shared access to the shard tables for the checkpoint layer.
-    pub(crate) fn shard_tables(&self) -> &[Arc<Mutex<Ltc>>] {
+    /// The shard tables and period gate, for the checkpoint layer.
+    pub(crate) fn shards(&self) -> &ShardSet {
         &self.shards
     }
 
@@ -1330,16 +1366,18 @@ impl ParallelLtc {
             .map(|t| (t.track.clone(), t.last_barrier))
     }
 
-    /// After a checkpoint restore rewrote every shard table: replace each
-    /// lane's rollback image with a full image of the restored state so a
-    /// future rollback lands on it, and revive lossy lanes with a fresh
-    /// worker and a full retry budget (the operator restored on purpose).
-    /// A refused spawn degrades the lane again, as supervision would.
-    pub(crate) fn reset_after_restore(&mut self) {
+    /// After a checkpoint restore rewrote every shard table at period count
+    /// `periods`: continue the runtime's count from it, replace each lane's
+    /// rollback image with a full image of the restored state so a future
+    /// rollback lands on it, and revive lossy lanes with a fresh worker and
+    /// a full retry budget (the operator restored on purpose). A refused
+    /// spawn degrades the lane again, as supervision would.
+    pub(crate) fn reset_after_restore(&mut self, periods: u64) {
         self.restores = self.restores.saturating_add(1);
+        self.periods = periods;
         let obs = self.obs.as_deref();
         let lanes = &mut inner_mut(&mut self.inner).lanes;
-        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards) {
+        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards.tables) {
             *lock_recover(&lane.last_good) = lock_recover(shard).rollback_image();
             lane.restarts = 0;
             lane.records_lost = 0;
@@ -1426,6 +1464,7 @@ impl SignificanceQuery for ParallelLtc {
 impl MemoryUsage for ParallelLtc {
     fn memory_bytes(&self) -> usize {
         self.shards
+            .tables
             .iter()
             .map(|shard| lock_recover(shard).memory_bytes())
             .sum()

@@ -475,6 +475,47 @@ fn restore_whose_revive_spawn_fails_degrades_the_shard_again() {
     assert_eq!(degradations(&obs), before + 1, "degradation counted");
 }
 
+#[test]
+fn degraded_runtime_checkpoints_restore_after_more_periods_close() {
+    // A lossy shard gets no records but still closes every period with the
+    // live one, so the degraded runtime's frames hold one period count and
+    // restore, into a fresh runtime, to the live state.
+    let _guard = scenario();
+    let scratch = ScratchDir::new("degraded-cut");
+    let policy = FaultPolicy {
+        max_restarts: 0,
+        ..FaultPolicy::no_backoff()
+    };
+    let mut p = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
+    let service = DurabilityService::attach(
+        &p,
+        Checkpointer::new(scratch.path()).unwrap(),
+        DurabilityPolicy {
+            interval: Duration::from_secs(3_600),
+            ..DurabilityPolicy::default()
+        },
+    )
+    .unwrap();
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    for _ in 0..2 {
+        for i in 0..200u64 {
+            p.insert(i % 20);
+        }
+        assert!(p.end_period().is_err(), "one shard is lossy");
+    }
+    failpoint::clear();
+    assert_eq!(lossy_count(&p.health()), 1, "degraded as arranged");
+    let generation = service
+        .checkpoint_now()
+        .expect("the degraded runtime saves");
+    drop(service);
+    let mut q = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
+    let store = Checkpointer::new(scratch.path()).unwrap();
+    assert_eq!(q.restore_from(&store), Ok(generation));
+    assert_eq!(q.to_checkpoint(), p.to_checkpoint());
+    assert_eq!(lossy_count(&q.health()), 0, "the restored runtime is whole");
+}
+
 // ---------------------------------------------------------------------------
 // Observability under faults: every recovery step leaves a metric and a
 // journal event behind, and health() points at the journal entry.

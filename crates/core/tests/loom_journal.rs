@@ -1,23 +1,21 @@
-//! Model-checks the lock-free MPMC event journal (`src/obs/journal.rs`,
-//! a Vyukov bounded ring) under the vendored loom explorer with
-//! weak-memory value semantics: `Relaxed` position reads may legally be
-//! stale, so every assertion here is *weak-sound* — it holds in every
-//! legal weak execution, not just the sequentially consistent ones.
+//! Model-checks the event journal (`src/obs/journal.rs`, a bounded
+//! `VecDeque` behind one `shim::Mutex`) under the vendored loom explorer.
+//! Its publishers are the runtime's owner thread and the durability
+//! thread, and a drainer may run beside them; every lock order between
+//! them is a scheduler decision here.
 //!
 //! What the models prove per interleaving:
 //!
 //! * **Seq acquisition is exactly-once**: concurrent publishers never
-//!   share a claim position; published seqs are distinct and contiguous
-//!   from 0 (a dropped event claims nothing, so drops leave no gap).
-//! * **Publication is the stamp edge**: a popped event's payload words are
-//!   exactly what the publisher wrote — the release store of the stamp and
-//!   the acquire load by the drainer are the only ordering, and the weak
-//!   explorer would surface a stale payload if that edge were weakened.
-//! * **Drop-newest on overflow**: with more claims than capacity and no
+//!   share a seq; published seqs are distinct and contiguous from 0 (a
+//!   dropped event takes no seq, so drops leave no gap).
+//! * **Popped payloads are what the publisher wrote**: a pop concurrent
+//!   with a publish sees either nothing or the whole event.
+//! * **Drop-newest on overflow**: with more publishes than capacity and no
 //!   drain, exactly `capacity` events publish and the rest are counted in
 //!   `dropped()`, never silently lost.
 //! * **Monotonic drain**: a single drainer observes strictly increasing
-//!   seqs, including across slot recycling (stamp lap arithmetic).
+//!   seqs, including when pops free room for later publishes.
 //!
 //! Run with: `cargo test -p ltc-core --features loom-check --test loom_journal`
 #![cfg(feature = "loom-check")]

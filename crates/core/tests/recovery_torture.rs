@@ -27,7 +27,7 @@
 
 use ltc_common::Weights;
 use ltc_core::checkpoint::Checkpointer;
-use ltc_core::durability::{DurabilityPolicy, DurabilityService, OnFault};
+use ltc_core::durability::{DurabilityPolicy, DurabilityService};
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::{CheckpointError, FaultPolicy, LtcConfig, ParallelLtc};
 use std::path::{Path, PathBuf};
@@ -90,7 +90,6 @@ fn manual_policy() -> DurabilityPolicy {
         interval: Duration::from_secs(3_600),
         max_chain_len: 8,
         faults: FaultPolicy::no_backoff(),
-        on_fault: OnFault::Degrade,
     }
 }
 
@@ -592,7 +591,6 @@ fn persistent_save_failure_exhausts_budget_and_degrades() {
             max_restarts: 2,
             ..FaultPolicy::no_backoff()
         },
-        on_fault: OnFault::Degrade,
         ..manual_policy()
     };
     let service =
@@ -604,35 +602,8 @@ fn persistent_save_failure_exhausts_budget_and_degrades() {
     failpoint::clear();
     let status = service.status();
     assert_eq!(status.failed_saves, 3, "1 attempt + 2 retries");
-    assert!(!status.stopped_on_fault, "Degrade keeps the service alive");
     // Degraded, not dead: the next request succeeds.
     service.checkpoint_now().expect("healthy again");
     assert_eq!(service.status().last_generation, Some(1));
-    p.finish().expect("healthy");
-}
-
-#[test]
-fn on_fault_stop_shuts_the_service_down() {
-    let _guard = scenario();
-    let scratch = ScratchDir::new("stop");
-    let mut p = runtime(2, 8);
-    ingest_round(&mut p, 0);
-    let policy = DurabilityPolicy {
-        faults: FaultPolicy {
-            max_restarts: 1,
-            ..FaultPolicy::no_backoff()
-        },
-        on_fault: OnFault::Stop,
-        ..manual_policy()
-    };
-    let service =
-        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
-    failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::always());
-    let err = service.checkpoint_now().expect_err("budget exhausted");
-    assert!(matches!(err, CheckpointError::Io(_)));
-    failpoint::clear();
-    assert!(service.status().stopped_on_fault);
-    // The stopped service rejects further work instead of hanging.
-    assert!(service.checkpoint_now().is_err());
     p.finish().expect("healthy");
 }

@@ -786,18 +786,6 @@ pub(crate) fn file_violations(fa: &FileAnalysis, config: &Config) -> Vec<Violati
 /// run the interprocedural graph rules over the whole workspace (when
 /// `[callgraph]` is configured). Returns all findings, waived included.
 pub fn lint_tree(root: &Path, config: &Config) -> Result<Vec<Violation>, String> {
-    lint_tree_filtered(root, config, None)
-}
-
-/// [`lint_tree`] with an optional changed-file filter: per-file
-/// findings are restricted to `changed` paths, but the graph rules are
-/// inherently cross-file and always run over (and report against) the
-/// full workspace.
-pub fn lint_tree_filtered(
-    root: &Path,
-    config: &Config,
-    changed: Option<&[String]>,
-) -> Result<Vec<Violation>, String> {
     let mut files = Vec::new();
     for dir in &config.roots {
         collect_rs_files(&root.join(dir), &config.skip, &mut files)?;
@@ -815,19 +803,12 @@ pub fn lint_tree_filtered(
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let include = changed.is_none_or(|list| list.iter().any(|f| f == &rel));
         match FileAnalysis::analyze(&rel, &source) {
             Ok(fa) => {
-                if include {
-                    violations.extend(file_violations(&fa, config));
-                }
+                violations.extend(file_violations(&fa, config));
                 ws.add_file(&rel, fa);
             }
-            Err(message) => {
-                if include {
-                    violations.push(syntax_violation(&rel, message));
-                }
-            }
+            Err(message) => violations.push(syntax_violation(&rel, message)),
         }
     }
     if config.callgraph_enabled() {
@@ -991,7 +972,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
             let _ = writeln!(
                 out,
                 "usage: cargo run -p xtask -- lint [--root <dir>] [--config <lint.toml>] \
-                 [--format text|json|github] [--changed]\n       \
+                 [--format text|json|github]\n       \
                  cargo run -p xtask -- callgraph [--root <dir>] [--config <lint.toml>] \
                  [--format dot|json]\n       \
                  cargo run -p xtask -- bench-compare <baseline.json> <new.json> \
@@ -1003,10 +984,8 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
     let mut root: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut format_arg: Option<String> = None;
-    let mut changed_only = false;
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--changed" => changed_only = true,
             "--root" | "--config" | "--format" => {
                 let Some(v) = args.next() else {
                     return fail(out, format!("option `{flag}` needs a value"));
@@ -1066,18 +1045,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
             }
         },
     };
-    let changed_list = if changed_only {
-        changed_files(&root)
-    } else {
-        None
-    };
-    if changed_only && changed_list.is_none() && format == Format::Text {
-        let _ = writeln!(
-            out,
-            "xtask lint: --changed: not a git checkout (or git unavailable); running full lint"
-        );
-    }
-    let violations = match lint_tree_filtered(&root, &config, changed_list.as_deref()) {
+    let violations = match lint_tree(&root, &config) {
         Ok(violations) => violations,
         Err(e) => return fail(out, e),
     };
@@ -1123,53 +1091,6 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
 pub fn run(args: &[String]) -> i32 {
     let mut stdout = std::io::stdout();
     run_with(args, &mut stdout)
-}
-
-/// Workspace-relative paths of files changed in the enclosing git
-/// checkout (unstaged + staged), for `lint --changed`. `None` when the
-/// root is not inside a work tree or git is unavailable — the caller
-/// falls back to a full run.
-pub fn changed_files(root: &Path) -> Option<Vec<String>> {
-    fn git(root: &Path, args: &[&str]) -> Option<String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        Some(String::from_utf8_lossy(&out.stdout).into_owned())
-    }
-    // Paths come back relative to the repository toplevel; the
-    // workspace root may sit deeper, so strip its prefix.
-    let prefix = git(root, &["rev-parse", "--show-prefix"])?;
-    let prefix = prefix.trim();
-    let mut files = std::collections::BTreeSet::new();
-    for extra in [None, Some("--cached")] {
-        let mut args = vec!["diff", "--name-only"];
-        if let Some(extra) = extra {
-            args.push(extra);
-        }
-        let listing = git(root, &args)?;
-        for line in listing.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let rel = if prefix.is_empty() {
-                line
-            } else {
-                match line.strip_prefix(prefix) {
-                    Some(rest) => rest,
-                    None => continue, // changed outside the workspace
-                }
-            };
-            files.insert(rel.to_string());
-        }
-    }
-    Some(files.into_iter().collect())
 }
 
 /// The workspace root, two levels above this crate's manifest.
