@@ -77,7 +77,7 @@ use crate::obs::trace::names;
 use crate::obs::RuntimeObs;
 use crate::pipeline::{lock_recover, ParallelLtc, ShardSet};
 use crate::sharded::ShardedLtc;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{snapshot_len, SnapshotError};
 use crate::table::Ltc;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -352,32 +352,48 @@ fn read_u64(bytes: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(slice))
 }
 
-/// Wrap `sections` in a checkpoint frame stamped with `fingerprint`. The
-/// header, with a CRC placeholder, and the sections go straight into one
-/// buffer; the CRC over the body is patched in last.
+/// Wrap `sections` in a checkpoint frame stamped with `fingerprint`, in
+/// one buffer of the frame's length.
 pub fn encode_frame(fingerprint: u64, sections: &[Vec<u8>]) -> Vec<u8> {
     let frame_len = sections
         .iter()
         .map(|s| s.len().saturating_add(4))
         .fold(HEADER_BYTES, usize::saturating_add);
-    let count = u32::try_from(sections.len()).expect("fewer than 2^32 sections");
-    let mut out = Vec::with_capacity(frame_len);
+    frame(fingerprint, sections.len(), frame_len, |out| {
+        for section in sections {
+            push_section(out, section.len(), |out| out.extend_from_slice(section));
+        }
+    })
+}
+
+/// A frame of `count` sections stamped with `fingerprint`, in a buffer of
+/// `len` bytes: `body` appends the body, whose CRC then fills the header.
+fn frame(fingerprint: u64, count: usize, len: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let count = u32::try_from(count).expect("fewer than 2^32 sections");
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved flags
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // CRC, patched below
-    for section in sections {
-        let len = u32::try_from(section.len()).expect("checkpoint section under 4 GiB");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(section);
-    }
+    body(&mut out);
     let crc = crc32(out.get(HEADER_BYTES..).unwrap_or_default());
     if let Some(field) = out.get_mut(CRC_AT..HEADER_BYTES) {
         field.copy_from_slice(&crc.to_le_bytes());
     }
     out
+}
+
+/// Append a section of `len` bytes, which `write` appends, after its
+/// length prefix; room for both is reserved exactly first.
+fn push_section(out: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+    out.reserve_exact(len.saturating_add(4));
+    let prefix = u32::try_from(len).expect("checkpoint section under 4 GiB");
+    out.extend_from_slice(&prefix.to_le_bytes());
+    let start = out.len();
+    write(out);
+    debug_assert_eq!(out.len().saturating_sub(start), len, "section length");
 }
 
 /// Validate a frame against `expected_fingerprint` and return its sections
@@ -601,7 +617,7 @@ impl ParallelLtc {
     /// configuration.
     pub fn to_checkpoint(&self) -> Vec<u8> {
         let _ = self.sync();
-        encode_shards(self.shards(), None, |shard| shard.to_snapshot())
+        encode_shards(self.shards(), None, |_| {})
     }
 
     /// Restore every shard from a checkpoint frame, all-or-nothing: the
@@ -616,7 +632,7 @@ impl ParallelLtc {
     /// See [`CheckpointError`]; [`CheckpointError::PeriodMismatch`] for a
     /// torn cut.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let sections = decode_frame(bytes, self.fingerprint())?;
+        let sections = decode_frame(bytes, configs_fingerprint(&self.shards().configs()))?;
         self.restore_sections(&sections, None)
     }
 
@@ -668,7 +684,7 @@ impl ParallelLtc {
         let trace = self.trace_handle();
         let pending = trace.as_ref().map(|(track, _)| track.begin(None));
         let start = std::time::Instant::now();
-        let fingerprint = self.fingerprint();
+        let fingerprint = configs_fingerprint(&self.shards().configs());
         let mut skipped = 0u64;
         let mut outcome = Err(CheckpointError::NoCheckpoint);
         for generation in store.generations()?.into_iter().rev() {
@@ -726,17 +742,6 @@ impl ParallelLtc {
         self.restore_sections(&base, sections.get(1..))
     }
 
-    /// Fingerprint of the runtime's ordered shard configurations.
-    fn fingerprint(&self) -> u64 {
-        let configs: Vec<LtcConfig> = self
-            .shards()
-            .tables()
-            .iter()
-            .map(|table| *lock_recover(table).config())
-            .collect();
-        configs_fingerprint(&configs)
-    }
-
     /// Drain the pipeline, stage `base` (and `delta` on top, for a chain)
     /// into shard clones, and commit only once every section validated and
     /// the staged shards share one period count. Staging and commit hold
@@ -769,28 +774,43 @@ impl ParallelLtc {
     }
 }
 
-/// Lock each shard in turn, take its section with `section` under that
-/// lock, and encode the sections after `head` (a delta frame's `DLTA`
-/// header) as one frame fingerprinted over the shards' configurations.
-/// The sections are taken under the runtime's period gate, so they all
-/// share one period count; the encode runs after the gate is released.
-/// Every frame a runtime writes is built here.
+/// How [`encode_shards`] sizes a shard's section, and writes it.
+type Section = (fn(&Ltc) -> usize, fn(&Ltc, &mut Vec<u8>));
+
+/// Lock each shard in turn and write its section straight into one frame:
+/// a full snapshot, or a delta snapshot after a `DLTA` section carrying
+/// `chain`; `after` runs on each shard under the same lock. The period
+/// gate covers the capture, so every section shares one period count. A
+/// full frame is sized from the (fixed) configurations up front; a delta
+/// section reserves its exact length under its shard's lock. Every frame
+/// a runtime writes is built here.
 fn encode_shards(
     shards: &ShardSet,
-    head: Option<Vec<u8>>,
-    mut section: impl FnMut(&mut Ltc) -> Vec<u8>,
+    chain: Option<DeltaChain>,
+    mut after: impl FnMut(&mut Ltc),
 ) -> Vec<u8> {
-    let mut sections: Vec<Vec<u8>> = head.into_iter().collect();
-    let mut configs = Vec::with_capacity(shards.tables().len());
-    {
+    let configs = shards.configs();
+    let full = configs
+        .iter()
+        .map(|c| snapshot_len(c.total_cells()).saturating_add(4));
+    let capacity = chain.map_or_else(|| full.fold(HEADER_BYTES, usize::saturating_add), |_| 0);
+    let (len, write): Section = match chain {
+        Some(_) => (Ltc::delta_snapshot_len, Ltc::write_delta_snapshot),
+        None => (|s| snapshot_len(s.capacity_cells()), Ltc::write_snapshot),
+    };
+    let count = configs.len().saturating_add(usize::from(chain.is_some()));
+    frame(configs_fingerprint(&configs), count, capacity, |out| {
+        if let Some(chain) = chain {
+            let head = encode_delta_header(&chain);
+            push_section(out, head.len(), |out| out.extend_from_slice(&head));
+        }
         let _gate = shards.hold_periods();
         for table in shards.tables() {
             let mut shard = lock_recover(table);
-            sections.push(section(&mut shard));
-            configs.push(*shard.config());
+            push_section(out, len(&shard), |out| write(&shard, out));
+            after(&mut shard);
         }
-    }
-    encode_frame(configs_fingerprint(&configs), &sections)
+    })
 }
 
 /// Serialise every shard as a full frame *and move each shard's delta
@@ -819,11 +839,7 @@ pub(crate) fn save_full_over(
     // Snapshot and epoch-open under the same lock: every mutation after
     // this instant lands in the next delta, every mutation before it is in
     // this frame — no gap, no overlap.
-    let frame = encode_shards(shards, None, |shard| {
-        let snapshot = shard.to_snapshot();
-        shard.begin_delta_epoch();
-        snapshot
-    });
+    let frame = encode_shards(shards, None, Ltc::begin_delta_epoch);
     let site = if compaction {
         "checkpoint::compact"
     } else {
@@ -858,13 +874,11 @@ pub(crate) fn save_delta_over(
     chain: &mut DeltaChain,
 ) -> Result<u64, CheckpointError> {
     let start = std::time::Instant::now();
-    let header = encode_delta_header(&DeltaChain {
-        length: chain.length.saturating_add(1),
-        ..*chain
-    });
-    let frame = encode_shards(shards, Some(header), |shard| shard.to_delta_snapshot());
+    let mut next = *chain;
+    next.length = next.length.saturating_add(1);
+    let frame = encode_shards(shards, Some(next), |_| {});
     let generation = store.save_with_site(&frame, "checkpoint::delta_write")?;
-    chain.length = chain.length.saturating_add(1);
+    *chain = next;
     if let Some(obs) = obs {
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         obs.note_delta_publish(generation, elapsed, u64::from(chain.length));
@@ -1645,6 +1659,41 @@ mod tests {
             delta.len(),
             full.len()
         );
+        live.finish().unwrap();
+    }
+
+    #[test]
+    fn runtime_frames_fill_one_exactly_sized_buffer() {
+        let mut live = ParallelLtc::with_batch_size(config(), 4, 8);
+        let sections = |live: &ParallelLtc, take: fn(&Ltc) -> Vec<u8>| -> Vec<Vec<u8>> {
+            let tables = live.shards().tables();
+            tables.iter().map(|t| take(&lock_recover(t))).collect()
+        };
+        for i in 0..400u64 {
+            live.insert(i % 70);
+        }
+        live.end_period().unwrap();
+        live.sync().unwrap();
+        let full = encode_shards(live.shards(), None, Ltc::begin_delta_epoch);
+        let fingerprint = configs_fingerprint(&live.shards().configs());
+        let expected = encode_frame(fingerprint, &sections(&live, Ltc::to_snapshot));
+        assert_eq!(full, expected);
+        assert_eq!(full.capacity(), full.len(), "no slack");
+
+        for i in 0..90u64 {
+            live.insert(i % 20);
+        }
+        live.sync().unwrap();
+        let chain = DeltaChain {
+            base_generation: 3,
+            base_crc: 0xFEED,
+            length: 1,
+        };
+        let delta = encode_shards(live.shards(), Some(chain), |_| {});
+        let mut expected = vec![encode_delta_header(&chain)];
+        expected.extend(sections(&live, Ltc::to_delta_snapshot));
+        assert_eq!(delta, encode_frame(fingerprint, &expected));
+        assert_eq!(delta.capacity(), delta.len(), "no slack");
         live.finish().unwrap();
     }
 

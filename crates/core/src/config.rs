@@ -124,16 +124,16 @@ pub struct FaultPolicy {
     pub max_restarts: u32,
     /// Backoff before the first restart; doubles per subsequent restart.
     pub backoff_base: Duration,
-    /// Cap on the exponential backoff.
-    pub backoff_max: Duration,
 }
+
+/// Cap on [`FaultPolicy`]'s exponential backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
 
 impl Default for FaultPolicy {
     fn default() -> Self {
         Self {
             max_restarts: 3,
             backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(500),
         }
     }
 }
@@ -149,13 +149,11 @@ impl FaultPolicy {
     }
 
     /// Backoff before restart number `restart` (1-based): `base · 2^(r−1)`,
-    /// capped at [`backoff_max`](FaultPolicy::backoff_max).
+    /// capped at 500 ms.
     pub fn backoff_for(&self, restart: u32) -> Duration {
         let shift = restart.saturating_sub(1).min(20);
         let factor = 1u32.checked_shl(shift).unwrap_or(u32::MAX);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_max)
+        self.backoff_base.saturating_mul(factor).min(BACKOFF_MAX)
     }
 }
 
@@ -291,13 +289,12 @@ mod tests {
         let policy = FaultPolicy {
             max_restarts: 10,
             backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(65),
         };
         assert_eq!(policy.backoff_for(1), Duration::from_millis(10));
         assert_eq!(policy.backoff_for(2), Duration::from_millis(20));
-        assert_eq!(policy.backoff_for(3), Duration::from_millis(40));
-        assert_eq!(policy.backoff_for(4), Duration::from_millis(65), "capped");
-        assert_eq!(policy.backoff_for(u32::MAX), Duration::from_millis(65));
+        assert_eq!(policy.backoff_for(6), Duration::from_millis(320));
+        assert_eq!(policy.backoff_for(7), BACKOFF_MAX, "capped");
+        assert_eq!(policy.backoff_for(u32::MAX), BACKOFF_MAX);
     }
 
     #[test]

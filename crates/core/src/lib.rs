@@ -60,7 +60,6 @@ pub mod config;
 pub mod durability;
 #[macro_use]
 pub mod failpoint;
-pub mod merge;
 pub mod obs;
 pub mod pipeline;
 pub mod reference;
@@ -70,14 +69,12 @@ pub mod snapshot;
 pub mod spsc;
 pub mod stats;
 pub mod table;
-pub mod window;
 
 pub use cell::Cell;
 pub use checkpoint::{CheckpointError, Checkpointer};
 pub use clock::ClockPointer;
 pub use config::{FaultPolicy, LtcConfig, LtcConfigBuilder, PeriodMode, Variant};
 pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus};
-pub use merge::MergeError;
 pub use obs::{EventJournal, EventKind, MetricsRegistry, RuntimeObs};
 pub use pipeline::{FaultKind, ParallelLtc, RuntimeError, ShardHealth, WorkerFault};
 pub use sharded::ShardedLtc;
@@ -85,4 +82,3 @@ pub use snapshot::SnapshotError;
 pub use spsc::SpscRing;
 pub use stats::LtcStats;
 pub use table::Ltc;
-pub use window::WindowedLtc;

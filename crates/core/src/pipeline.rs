@@ -472,6 +472,14 @@ impl ShardSet {
     pub(crate) fn hold_periods(&self) -> MutexGuard<'_, ()> {
         lock_recover(&self.period_gate)
     }
+
+    /// The shard configurations, in shard order (a restore keeps them).
+    pub(crate) fn configs(&self) -> Vec<LtcConfig> {
+        self.tables
+            .iter()
+            .map(|t| *lock_recover(t).config())
+            .collect()
+    }
 }
 
 /// The multi-threaded sharded LTC runtime with supervised workers. See the

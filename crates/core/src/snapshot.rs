@@ -140,26 +140,31 @@ pub(crate) fn is_delta_image(bytes: &[u8]) -> bool {
     bytes.get(..4) == Some(DELTA_MAGIC.as_slice())
 }
 
+/// Bytes [`Ltc::to_snapshot`] writes for a table of `cells` cells.
+pub(crate) fn snapshot_len(cells: usize) -> usize {
+    HEADER_BYTES.saturating_add(cells.saturating_mul(CELL_BYTES))
+}
+
 impl Ltc {
     /// Serialise the table state. See the module docs for the format.
     pub fn to_snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(snapshot_len(self.capacity_cells()));
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// Append the [`Ltc::to_snapshot`] image to `out`.
+    pub(crate) fn write_snapshot(&self, out: &mut Vec<u8>) {
         let w = self.config().buckets as u32;
         let d = self.config().cells_per_bucket as u32;
-        let capacity =
-            HEADER_BYTES.saturating_add(self.capacity_cells().saturating_mul(CELL_BYTES));
-        let mut out = Vec::with_capacity(capacity);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&w.to_le_bytes());
         out.extend_from_slice(&d.to_le_bytes());
         out.push(self.snapshot_parity());
         out.extend_from_slice(&self.periods_completed().to_le_bytes());
         for cell in self.cells() {
-            out.extend_from_slice(&cell.id.to_le_bytes());
-            out.extend_from_slice(&cell.freq.to_le_bytes());
-            out.extend_from_slice(&cell.persist.to_le_bytes());
-            out.push(cell.raw_flags());
+            push_cell(out, &cell);
         }
-        out
     }
 
     /// Restore state from a snapshot into this (same-shaped) table,
@@ -216,12 +221,23 @@ impl Ltc {
     /// relative to the epoch's base image, so the caller clears the epoch
     /// exactly when it takes a new full snapshot.
     pub fn to_delta_snapshot(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.delta_snapshot_len());
+        self.write_delta_snapshot(&mut out);
+        out
+    }
+
+    /// Bytes [`Ltc::to_delta_snapshot`] would write now.
+    pub(crate) fn delta_snapshot_len(&self) -> usize {
+        let d = self.config().cells_per_bucket;
+        let entry_bytes = d.saturating_mul(CELL_BYTES).saturating_add(4);
+        DELTA_HEADER_BYTES.saturating_add(self.dirty_bucket_count().saturating_mul(entry_bytes))
+    }
+
+    /// Append the [`Ltc::to_delta_snapshot`] image to `out`.
+    pub(crate) fn write_delta_snapshot(&self, out: &mut Vec<u8>) {
         let w = self.config().buckets as u32;
         let d = self.config().cells_per_bucket;
         let dirty: Vec<usize> = self.dirty_buckets().collect();
-        let entry_bytes = 4usize.saturating_add(d.saturating_mul(CELL_BYTES));
-        let capacity = DELTA_HEADER_BYTES.saturating_add(dirty.len().saturating_mul(entry_bytes));
-        let mut out = Vec::with_capacity(capacity);
         out.extend_from_slice(DELTA_MAGIC);
         out.extend_from_slice(&w.to_le_bytes());
         out.extend_from_slice(&(d as u32).to_le_bytes());
@@ -231,10 +247,9 @@ impl Ltc {
         for bucket in dirty {
             out.extend_from_slice(&(bucket as u32).to_le_bytes());
             for cell in self.bucket_cells(bucket.saturating_mul(d), d) {
-                push_cell(&mut out, &cell);
+                push_cell(out, &cell);
             }
         }
-        out
     }
 
     /// Apply a delta image on top of this table's current contents —

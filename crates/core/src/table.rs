@@ -358,14 +358,13 @@ impl Ltc {
         })
     }
 
-    /// One bucket's cells, materialised from the lanes (merge support).
+    /// One bucket's cells, materialised from the lanes (delta snapshots, audit).
     pub(crate) fn bucket_cells(&self, base: usize, d: usize) -> impl Iterator<Item = Cell> + '_ {
         let end = base.saturating_add(d).min(self.store.len());
         (base..end).map(move |i| self.store.cell(i))
     }
 
-    /// Overwrite one bucket with up to `d` cells, clearing the rest
-    /// (merge support).
+    /// Overwrite one bucket with up to `d` cells, clearing the rest (delta restore).
     pub(crate) fn replace_bucket(&mut self, base: usize, d: usize, cells: &[Cell]) {
         debug_assert!(cells.len() <= d);
         let end = base.saturating_add(d).min(self.store.len());
@@ -453,24 +452,6 @@ impl Ltc {
         self.store.begin_dirty_epoch();
     }
 
-    /// All tracked items whose estimated significance is at least
-    /// `threshold`, descending — the "report everything significant" query
-    /// shape (threshold form of top-k).
-    pub fn items_above(&self, threshold: f64) -> Vec<Estimate> {
-        let weights = self.config.weights;
-        let mut out: Vec<Estimate> = self
-            .store
-            .iter_cells()
-            .filter(|c| c.occupied())
-            .map(|c| Estimate::new(c.id, c.significance(&weights)))
-            .filter(|e| e.value >= threshold)
-            .collect();
-        // `total_cmp` agrees with `partial_cmp` on every value significance
-        // can take (finite, non-negative) and needs no NaN escape hatch.
-        out.sort_unstable_by(|a, b| b.value.total_cmp(&a.value).then_with(|| a.id.cmp(&b.id)));
-        out
-    }
-
     /// Advance the CLOCK by `numerator/denominator` of a sweep, harvesting.
     /// The pointer emits whole contiguous slot runs and the harvest walks
     /// each run's flag and persistency lanes in one branch-light pass.
@@ -495,7 +476,7 @@ impl Ltc {
 
     /// Route one record to the fixed-width [`process_at`](Ltc::process_at)
     /// monomorphization matching the configured bucket width (`0` = the
-    /// runtime-width build, for merge-era and test shapes). The batched
+    /// runtime-width build, for every other width). The batched
     /// count-driven path hoists this match out of its record loop entirely.
     #[inline]
     fn process_dispatch(&mut self, id: ItemId, base: usize) {
@@ -1077,22 +1058,6 @@ mod tests {
         ltc.end_period();
         assert_eq!(ltc.stats().periods, 1);
         assert!(ltc.stats().harvests >= 1, "flagged cells harvested");
-    }
-
-    #[test]
-    fn items_above_threshold_query() {
-        let mut ltc = Ltc::new(config(16, 4, 1_000, Weights::FREQUENT, Variant::FULL));
-        for (id, n) in [(1u64, 50usize), (2, 30), (3, 10)] {
-            for _ in 0..n {
-                ltc.insert(id);
-            }
-        }
-        let above = ltc.items_above(30.0);
-        let ids: Vec<_> = above.iter().map(|e| e.id).collect();
-        assert_eq!(ids, vec![1, 2], "descending, inclusive threshold");
-        assert!(ltc.items_above(1e9).is_empty());
-        // Threshold 0 returns every occupied cell.
-        assert_eq!(ltc.items_above(0.0).len(), 3);
     }
 
     /// Replay one schedule over a small table with both consumers of the

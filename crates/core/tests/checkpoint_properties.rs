@@ -172,42 +172,33 @@ proptest! {
         prop_assert_eq!(before, format!("{target:?}"), "partial shard restore leaked");
     }
 
-    /// Merge commutes with save/restore: folding a *restored* shard into a
-    /// live shard yields exactly the table that folding the original would
-    /// have — a checkpoint round-trip loses nothing a merge can observe.
+    /// A full-frame restore reproduces the source exactly: the restored
+    /// table's snapshot bytes and top-k equal the source's, so the
+    /// round-trip loses nothing any query can observe.
     #[test]
-    fn merge_commutes_with_checkpoint_restore(
-        stream_a in small_stream(),
-        stream_b in small_stream(),
-    ) {
-        let source = populated(&stream_a);
+    fn checkpoint_restore_reproduces_the_source(stream in small_stream()) {
+        let source = populated(&stream);
         let mut restored = Ltc::new(config());
         restored
             .restore_checkpoint(&source.to_checkpoint())
             .expect("own checkpoint must load");
 
-        let mut direct = populated(&stream_b);
-        direct.merge_from(&source).expect("same config");
-        let mut via_restore = populated(&stream_b);
-        via_restore.merge_from(&restored).expect("same config");
-
         prop_assert_eq!(
-            direct.to_checkpoint(),
-            via_restore.to_checkpoint(),
-            "merge result diverged across a save/restore round-trip"
+            source.to_snapshot(),
+            restored.to_snapshot(),
+            "state diverged across a save/restore round-trip"
         );
-        prop_assert_eq!(direct.top_k(64), via_restore.top_k(64));
+        prop_assert_eq!(source.top_k(64), restored.top_k(64));
     }
 
-    /// The same property when the restored shard comes off a delta chain
-    /// (base snapshot + cumulative delta) instead of a full checkpoint.
+    /// The same property when the table comes off a delta chain (base
+    /// snapshot + cumulative delta) instead of a full checkpoint.
     #[test]
-    fn merge_commutes_with_delta_restore(
-        stream_a in small_stream(),
+    fn delta_restore_reproduces_the_source(
+        stream in small_stream(),
         extra in prop::collection::vec(0u64..20, 1..80),
-        stream_b in small_stream(),
     ) {
-        let mut source = populated(&stream_a);
+        let mut source = populated(&stream);
         let base = source.to_snapshot();
         source.begin_delta_epoch();
         for &id in &extra {
@@ -220,17 +211,12 @@ proptest! {
         restored.restore_snapshot(&base).expect("own snapshot must load");
         restored.apply_delta_snapshot(&delta).expect("own delta must apply");
 
-        let mut direct = populated(&stream_b);
-        direct.merge_from(&source).expect("same config");
-        let mut via_restore = populated(&stream_b);
-        via_restore.merge_from(&restored).expect("same config");
-
         prop_assert_eq!(
-            direct.to_checkpoint(),
-            via_restore.to_checkpoint(),
-            "merge result diverged across a base+delta restore"
+            source.to_snapshot(),
+            restored.to_snapshot(),
+            "state diverged across a base+delta restore"
         );
-        prop_assert_eq!(direct.top_k(64), via_restore.top_k(64));
+        prop_assert_eq!(source.top_k(64), restored.top_k(64));
     }
 
     /// Raw snapshot mutations (no CRC at this layer): restore never panics,

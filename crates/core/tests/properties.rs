@@ -229,83 +229,6 @@ proptest! {
         b.finalize();
         prop_assert_eq!(a.top_k(20), b.top_k(20));
     }
-
-    /// Merged tables never lose combined mass for items that survive in the
-    /// merged table: f̂ ≤ f_a + f_b (no invention of counts).
-    #[test]
-    fn merge_never_invents_counts(
-        stream_a in small_stream(),
-        stream_b in small_stream(),
-        per_period in 10usize..60,
-    ) {
-        let mut a = run(&stream_a, per_period, Weights::BALANCED, Variant::DEVIATION_ONLY, 4);
-        let b = run(&stream_b, per_period, Weights::BALANCED, Variant::DEVIATION_ONLY, 4);
-        let real_a = truth(&stream_a, per_period);
-        let real_b = truth(&stream_b, per_period);
-        a.merge_from(&b).expect("same config merges");
-        for (id, f) in a
-            .cells()
-            .filter(|c| c.occupied())
-            .map(|c| (c.id, u64::from(c.freq)))
-        {
-            let fa = real_a.get(&id).map_or(0, |&(f, _)| f);
-            let fb = real_b.get(&id).map_or(0, |&(f, _)| f);
-            // Both inputs were DE-variant (no overestimation), so the sum
-            // bound carries to the merge.
-            prop_assert!(f <= fa + fb, "id {id}: merged {f} > {fa}+{fb}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// WindowedLtc: windowed persistency never exceeds the window length
-    /// nor the number of periods seen, for any stream shape.
-    #[test]
-    fn windowed_persistency_bounded(
-        stream in small_stream(),
-        per_period in 5usize..40,
-        window in 1u32..16,
-    ) {
-        use ltc_core::WindowedLtc;
-        let mut t = WindowedLtc::new(8, 4, Weights::new(0.0, 1.0), window, 3);
-        let mut periods = 0u64;
-        for chunk in stream.chunks(per_period) {
-            for &id in chunk {
-                t.insert(id);
-            }
-            t.end_period();
-            periods += 1;
-        }
-        for id in 0..20u64 {
-            if let Some(p) = t.persistency_of(id) {
-                prop_assert!(p <= u64::from(window), "p {p} > window {window}");
-                prop_assert!(p <= periods + 1, "p {p} > periods {periods}+1");
-            }
-        }
-    }
-
-    /// WindowedLtc: an item absent for a full window disappears entirely.
-    #[test]
-    fn windowed_absence_expires(
-        window in 1u32..12,
-        idle_periods in 0u32..24,
-    ) {
-        use ltc_core::WindowedLtc;
-        let mut t = WindowedLtc::new(8, 4, Weights::new(1.0, 1.0), window, 3);
-        for _ in 0..3 {
-            t.insert(7);
-            t.end_period();
-        }
-        for _ in 0..idle_periods {
-            t.end_period();
-        }
-        if idle_periods >= window + 4 {
-            // Presence slid out and the aged frequency decayed below one.
-            prop_assert_eq!(t.persistency_of(7), None, "should have aged out");
-        }
-    }
 }
 
 proptest! {

@@ -2,8 +2,8 @@
 //!
 //! Throughput regression gate over the checked-in bench JSON files
 //! (`BENCH_pipeline.json`, `BENCH_table.json`, `BENCH_recovery.json`).
-//! Both files are flattened to `dotted.path → number` maps by a minimal
-//! zero-dependency JSON reader; every numeric key of the baseline whose
+//! Both files are parsed by the vendored `serde_json` and flattened to
+//! `dotted.path → number` maps; every numeric key of the baseline whose
 //! path contains `mops` (throughput — higher is better) is compared, and
 //! the command exits nonzero when any of them dropped by more than the
 //! `--tolerance` percent (default 5).
@@ -13,6 +13,7 @@
 //! treated as a regression (a silently dropped measurement must not pass
 //! the gate); brand-new keys are reported but never fail.
 
+use serde::Value;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -23,154 +24,46 @@ const DEFAULT_TOLERANCE: f64 = 5.0;
 const FILTER: &str = "mops";
 
 // ---------------------------------------------------------------------------
-// Minimal JSON number flattener
+// JSON number flattener
 // ---------------------------------------------------------------------------
 
 /// Flatten a JSON document to `(dotted path, value)` pairs for every
 /// numeric leaf. Array elements use their index as the path segment
 /// (`batch.1.mops`); both files come from the same generator, so
 /// positions line up. Strings, booleans and nulls are skipped; syntax
-/// errors are reported with a byte offset.
+/// errors are the parser's, with a byte offset.
 pub fn flatten_numbers(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let bytes = text.as_bytes();
+    let value = serde_json::parse(text).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
-    let mut at = 0usize;
-    skip_ws(bytes, &mut at);
-    value(bytes, &mut at, &mut String::new(), &mut out)?;
-    skip_ws(bytes, &mut at);
-    if at != bytes.len() {
-        return Err(format!("trailing data at byte {at}"));
-    }
+    flatten(&value, &mut String::new(), &mut out);
     Ok(out)
 }
 
-fn skip_ws(bytes: &[u8], at: &mut usize) {
-    while bytes
-        .get(*at)
-        .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    {
-        *at = at.saturating_add(1);
-    }
-}
-
-fn value(
-    bytes: &[u8],
-    at: &mut usize,
-    path: &mut String,
-    out: &mut Vec<(String, f64)>,
-) -> Result<(), String> {
-    skip_ws(bytes, at);
-    match bytes.get(*at) {
-        Some(b'{') => container(bytes, at, path, out, b'}'),
-        Some(b'[') => container(bytes, at, path, out, b']'),
-        Some(b'"') => string(bytes, at).map(|_| ()),
-        Some(b't') => literal(bytes, at, "true"),
-        Some(b'f') => literal(bytes, at, "false"),
-        Some(b'n') => literal(bytes, at, "null"),
-        Some(_) => {
-            let n = number(bytes, at)?;
-            out.push((path.clone(), n));
-            Ok(())
-        }
-        None => Err(format!("unexpected end of input at byte {at}")),
-    }
-}
-
-/// Parse `{...}` or `[...]` (selected by `close`), extending `path` per
-/// member and recursing into values.
-fn container(
-    bytes: &[u8],
-    at: &mut usize,
-    path: &mut String,
-    out: &mut Vec<(String, f64)>,
-    close: u8,
-) -> Result<(), String> {
-    *at = at.saturating_add(1); // opening delimiter
-    skip_ws(bytes, at);
-    if bytes.get(*at) == Some(&close) {
-        *at = at.saturating_add(1);
-        return Ok(());
-    }
-    let mut index = 0usize;
-    loop {
-        let segment = if close == b'}' {
-            skip_ws(bytes, at);
-            let key = string(bytes, at)?;
-            skip_ws(bytes, at);
-            if bytes.get(*at) != Some(&b':') {
-                return Err(format!("expected `:` at byte {at}"));
-            }
-            *at = at.saturating_add(1);
-            key
-        } else {
-            let key = index.to_string();
-            index = index.saturating_add(1);
-            key
-        };
+/// Append `value`'s numeric leaves under `path` to `out`.
+fn flatten(value: &Value, path: &mut String, out: &mut Vec<(String, f64)>) {
+    let mut member = |segment: &str, value: &Value| {
         let saved = path.len();
         if !path.is_empty() {
             path.push('.');
         }
-        path.push_str(&segment);
-        value(bytes, at, path, out)?;
+        path.push_str(segment);
+        flatten(value, path, out);
         path.truncate(saved);
-        skip_ws(bytes, at);
-        match bytes.get(*at) {
-            Some(b',') => *at = at.saturating_add(1),
-            Some(b) if *b == close => {
-                *at = at.saturating_add(1);
-                return Ok(());
+    };
+    match value {
+        Value::Num(n) => out.push((path.clone(), n.as_f64())),
+        Value::Arr(items) => {
+            for (index, item) in items.iter().enumerate() {
+                member(&index.to_string(), item);
             }
-            _ => return Err(format!("expected `,` or closing delimiter at byte {at}")),
         }
-    }
-}
-
-fn string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
-    if bytes.get(*at) != Some(&b'"') {
-        return Err(format!("expected string at byte {at}"));
-    }
-    *at = at.saturating_add(1);
-    let start = *at;
-    while let Some(&b) = bytes.get(*at) {
-        match b {
-            b'"' => {
-                let raw = String::from_utf8_lossy(bytes.get(start..*at).unwrap_or(&[]));
-                *at = at.saturating_add(1);
-                // Bench keys are plain identifiers; unescaping `\uXXXX`
-                // is out of scope, but `\"`/`\\` must not end the string
-                // early (handled by the escape skip below), so raw text
-                // with backslashes round-trips unmodified.
-                return Ok(raw.into_owned());
+        Value::Obj(pairs) => {
+            for (key, item) in pairs {
+                member(key, item);
             }
-            b'\\' => *at = at.saturating_add(2),
-            _ => *at = at.saturating_add(1),
         }
+        Value::Null | Value::Bool(_) | Value::Str(_) => {}
     }
-    Err(format!("unterminated string starting at byte {start}"))
-}
-
-fn literal(bytes: &[u8], at: &mut usize, word: &str) -> Result<(), String> {
-    if bytes.get(*at..at.saturating_add(word.len())) == Some(word.as_bytes()) {
-        *at = at.saturating_add(word.len());
-        Ok(())
-    } else {
-        Err(format!("invalid literal at byte {at}"))
-    }
-}
-
-fn number(bytes: &[u8], at: &mut usize) -> Result<f64, String> {
-    let start = *at;
-    while bytes
-        .get(*at)
-        .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-    {
-        *at = at.saturating_add(1);
-    }
-    let text = std::str::from_utf8(bytes.get(start..*at).unwrap_or(&[]))
-        .map_err(|e| format!("bad number at byte {start}: {e}"))?;
-    text.parse::<f64>()
-        .map_err(|_| format!("bad number `{text}` at byte {start}"))
 }
 
 // ---------------------------------------------------------------------------

@@ -766,8 +766,8 @@ pub fn to_dot(ws: &Workspace, graph: &CallGraph) -> String {
     out
 }
 
-/// JSON export: one object with `fns` and `edges` arrays. Hand-rolled
-/// (the workspace is dependency-free) but escaped properly.
+/// JSON export: one object with `fns` and `edges` arrays, hand-rolled
+/// but escaped properly.
 pub fn to_json(ws: &Workspace, graph: &CallGraph) -> String {
     let esc = crate::json_escape;
     let mut out = String::from("{\"fns\":[");

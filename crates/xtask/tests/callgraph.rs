@@ -4,6 +4,7 @@
 //! call detection, effect tables, macro-body invisibility, reachability
 //! and the dot/JSON exports.
 
+use serde::Value;
 use xtask::callgraph::{self, CallKind, EffectKind};
 use xtask::resolve::Workspace;
 use xtask::FileAnalysis;
@@ -304,188 +305,20 @@ fn json_export_is_valid_json_with_expected_fields() {
     ]);
     let g = callgraph::build(&w);
     let json = callgraph::to_json(&w, &g);
-    let value = parse_json(&json).expect("export must be valid JSON");
-    let JsonValue::Object(top) = value else {
+    let value = serde_json::parse(&json).expect("export must be valid JSON");
+    let Value::Obj(top) = value else {
         panic!("top level must be an object");
     };
     let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, vec!["fns", "edges"], "{json}");
-    let JsonValue::Array(fns) = &top[0].1 else {
+    let Value::Arr(fns) = &top[0].1 else {
         panic!("fns must be an array");
     };
     assert_eq!(fns.len(), 2, "{json}");
     assert!(json.contains("\"effects\":[\"panic\"]"), "{json}");
-    let JsonValue::Array(edges) = &top[1].1 else {
+    let Value::Arr(edges) = &top[1].1 else {
         panic!("edges must be an array");
     };
     assert_eq!(edges.len(), 1, "{json}");
     assert!(json.contains("\"kind\":\"direct\""), "{json}");
-}
-
-// ---- a minimal JSON reader (test-only; the workspace is dependency-free) ----
-
-#[derive(Debug)]
-#[allow(dead_code)] // payloads carried so `{:?}` failures show the parsed value
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[char], pos: &mut usize) {
-    while b.get(*pos).is_some_and(|c| c.is_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at {pos}"))
-    }
-}
-
-fn parse_value(b: &[char], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let JsonValue::Str(key) = parse_value(b, pos)? else {
-                    return Err(format!("object key must be a string at {pos}"));
-                };
-                skip_ws(b, pos);
-                expect(b, pos, ':')?;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at {pos}")),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at {pos}")),
-                }
-            }
-        }
-        Some('"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    Some('"') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Str(s));
-                    }
-                    Some('\\') => {
-                        let esc = b.get(*pos + 1).ok_or("truncated escape")?;
-                        match esc {
-                            '"' | '\\' | '/' => s.push(*esc),
-                            'n' => s.push('\n'),
-                            't' => s.push('\t'),
-                            'r' => s.push('\r'),
-                            'b' | 'f' => {}
-                            'u' => {
-                                let hex: String = b
-                                    .get(*pos + 2..*pos + 6)
-                                    .ok_or("truncated \\u")?
-                                    .iter()
-                                    .collect();
-                                u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u{hex}: {e}"))?;
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape `\\{other}`")),
-                        }
-                        *pos += 2;
-                    }
-                    Some(c) => {
-                        s.push(*c);
-                        *pos += 1;
-                    }
-                    None => return Err("unterminated string".to_string()),
-                }
-            }
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => {
-            let start = *pos;
-            *pos += 1;
-            while b
-                .get(*pos)
-                .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-            {
-                *pos += 1;
-            }
-            let text: String = b[start..*pos].iter().collect();
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-        Some('t')
-            if b.get(*pos..*pos + 4)
-                .is_some_and(|s| s.iter().collect::<String>() == "true") =>
-        {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some('f')
-            if b.get(*pos..*pos + 5)
-                .is_some_and(|s| s.iter().collect::<String>() == "false") =>
-        {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some('n')
-            if b.get(*pos..*pos + 4)
-                .is_some_and(|s| s.iter().collect::<String>() == "null") =>
-        {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        other => Err(format!("unexpected {other:?} at {pos}")),
-    }
 }

@@ -77,5 +77,5 @@ pub mod prelude {
         BatchStreamProcessor, Estimate, ItemId, MemoryBudget, PeriodLayout, SignificanceQuery,
         StreamProcessor, Weights,
     };
-    pub use ltc_core::{Ltc, LtcConfig, ParallelLtc, ShardedLtc, Variant, WindowedLtc};
+    pub use ltc_core::{Ltc, LtcConfig, ParallelLtc, ShardedLtc, Variant};
 }
