@@ -385,6 +385,21 @@ fn frame(fingerprint: u64, count: usize, len: usize, body: impl FnOnce(&mut Vec<
     out
 }
 
+/// A full frame of `shards`' snapshots stamped with `fingerprint`, each
+/// written straight into one exactly sized buffer.
+fn snapshot_frame(fingerprint: u64, shards: &[&Ltc]) -> Vec<u8> {
+    let len = |shard: &Ltc| snapshot_len(shard.capacity_cells());
+    let frame_len = shards
+        .iter()
+        .map(|shard| len(shard).saturating_add(4))
+        .fold(HEADER_BYTES, usize::saturating_add);
+    frame(fingerprint, shards.len(), frame_len, |out| {
+        for shard in shards {
+            push_section(out, len(shard), |out| shard.write_snapshot(out));
+        }
+    })
+}
+
 /// Append a section of `len` bytes, which `write` appends, after its
 /// length prefix; room for both is reserved exactly first.
 fn push_section(out: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
@@ -508,9 +523,9 @@ fn decode_delta_header(bytes: &[u8]) -> Option<DeltaChain> {
 
 impl Ltc {
     /// Serialise the table as a self-validating checkpoint frame (one
-    /// section wrapping [`Ltc::to_snapshot`]).
+    /// section holding [`Ltc::to_snapshot`]'s bytes).
     pub fn to_checkpoint(&self) -> Vec<u8> {
-        encode_frame(config_fingerprint(self.config()), &[self.to_snapshot()])
+        snapshot_frame(config_fingerprint(self.config()), &[self])
     }
 
     /// Restore from a checkpoint frame, all-or-nothing: a frame that fails
@@ -584,12 +599,9 @@ impl ShardedLtc {
     /// Serialise every shard as one checkpoint frame (one section per
     /// shard, fingerprinted over the full ordered shard configuration).
     pub fn to_checkpoint(&self) -> Vec<u8> {
-        let sections: Vec<Vec<u8>> = (0..self.num_shards())
-            .map(|i| self.shard(i).to_snapshot())
-            .collect();
-        let fingerprint =
-            configs_fingerprint((0..self.num_shards()).map(|i| self.shard(i).config()));
-        encode_frame(fingerprint, &sections)
+        let shards: Vec<&Ltc> = (0..self.num_shards()).map(|i| self.shard(i)).collect();
+        let fingerprint = configs_fingerprint(shards.iter().map(|s| s.config()));
+        snapshot_frame(fingerprint, &shards)
     }
 
     /// Restore every shard from a checkpoint frame, all-or-nothing. The
@@ -623,10 +635,10 @@ impl ParallelLtc {
     /// Restore every shard from a checkpoint frame, all-or-nothing: the
     /// frame is fully validated, the pipeline drained, the sections
     /// staged, and only then committed. A frame whose shards disagree on
-    /// the period count is refused. Lossy shards are revived with a fresh
-    /// worker and a full retry budget (restoring is an operator-level
-    /// reset), and the runtime's period count continues from the restored
-    /// shards.
+    /// the period count is refused. Lossy shards take records again, with
+    /// a full retry budget (restoring is an operator-level reset), and the
+    /// runtime's period count continues from the restored shards. A
+    /// restore starts no thread, so it cannot fail to bring a shard back.
     ///
     /// # Errors
     /// See [`CheckpointError`]; [`CheckpointError::PeriodMismatch`] for a
@@ -1695,6 +1707,27 @@ mod tests {
         assert_eq!(delta, encode_frame(fingerprint, &expected));
         assert_eq!(delta.capacity(), delta.len(), "no slack");
         live.finish().unwrap();
+    }
+
+    #[test]
+    fn table_frames_fill_one_exactly_sized_buffer() {
+        let mut sharded = ShardedLtc::new(config(), 3);
+        for i in 0..400u64 {
+            sharded.insert(i % 70);
+        }
+        sharded.end_period();
+        let shards: Vec<&Ltc> = (0..3).map(|i| sharded.shard(i)).collect();
+        let sections: Vec<Vec<u8>> = shards.iter().map(|s| s.to_snapshot()).collect();
+        let fingerprint = configs_fingerprint(shards.iter().map(|s| s.config()));
+        let frame = sharded.to_checkpoint();
+        assert_eq!(frame, encode_frame(fingerprint, &sections));
+        assert_eq!(frame.capacity(), frame.len(), "no slack");
+
+        let single = sharded.shard(1);
+        let frame = single.to_checkpoint();
+        let fingerprint = config_fingerprint(single.config());
+        assert_eq!(frame, encode_frame(fingerprint, &[single.to_snapshot()]));
+        assert_eq!(frame.capacity(), frame.len(), "no slack");
     }
 
     #[test]

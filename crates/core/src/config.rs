@@ -113,14 +113,14 @@ impl LtcConfig {
     }
 }
 
-/// Supervision knobs for [`crate::pipeline::ParallelLtc`]: how hard the
-/// coordinator tries to revive a dead shard worker before degrading the
-/// shard to lossy. Workers capture their recovery checkpoint at every
-/// period boundary; records since the last capture are lost on a fault
-/// (and counted).
+/// Supervision knobs for [`crate::pipeline::ParallelLtc`]: how many
+/// faults a shard worker recovers from before it degrades its shard to
+/// lossy. Workers capture their rollback image at every period boundary;
+/// records since the last capture are lost on a fault (and counted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Worker restarts allowed per shard before it is marked lossy.
+    /// Fault recoveries (restarts) allowed per shard before it is marked
+    /// lossy.
     pub max_restarts: u32,
     /// Backoff before the first restart; doubles per subsequent restart.
     pub backoff_base: Duration,

@@ -1,11 +1,12 @@
 //! Bounded journal of structured runtime events.
 //!
-//! Events are rare — about two per period — and come from two threads:
-//! the runtime's owner thread (period rollovers, health audits, worker
-//! supervision, restores, `checkpoint_to`) and the durability service's
-//! thread (checkpoint, delta and compaction publishes). So the journal is
-//! a bounded `VecDeque` behind one lock: a publish or a pop holds it for
-//! one push or one pop, and no record path ever takes it.
+//! Events are rare — about two per period — and come from three places:
+//! the runtime's owner thread (period rollovers, health audits, restores,
+//! `checkpoint_to`), the durability service's thread (checkpoint, delta
+//! and compaction publishes) and the shard workers, which publish fault,
+//! rollback and degradation events only while they recover from a fault.
+//! So the journal is a bounded `VecDeque` behind one lock: a publish or a
+//! pop holds it for one push or one pop, and no record path ever takes it.
 //!
 //! **Sequence numbers**: every *published* event gets the next integer,
 //! in publication order, so a reader can detect reordering or correlate
@@ -33,7 +34,7 @@ pub enum EventKind {
     /// A period boundary was crossed; `detail` = the period count after
     /// the rollover.
     PeriodRollover,
-    /// A worker died; `detail` = the numeric code of the fault kind
+    /// A worker faulted; `detail` = the numeric code of the fault kind
     /// (`FaultKind::code`).
     WorkerFault,
     /// A shard's table was rolled back to its rollback image of the last

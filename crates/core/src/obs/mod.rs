@@ -10,7 +10,9 @@
 //! 2. [`journal`] — a bounded [`EventJournal`] behind one lock for rare
 //!    structured events (faults, rollbacks, checkpoints, period
 //!    rollovers). Its publishers are the runtime's owner thread and the
-//!    durability thread, about two events per period; no worker publishes.
+//!    durability thread, about two events per period, and the shard
+//!    workers, which publish fault, rollback and degradation events only
+//!    when they recover from a fault.
 //! 3. [`registry`] + [`export`] — the `Mutex`-guarded [`MetricsRegistry`]
 //!    and renderers, touched only at construction and export time.
 //!
@@ -49,9 +51,9 @@ pub use trace_export::{render_chrome_trace, render_folded, validate_chrome_trace
 use std::sync::Arc;
 
 /// Wait-free metric handles for one shard of the parallel runtime. Handed
-/// to the producer (queue side) and worker (table side) at spawn;
-/// re-created handles after a worker restart share the same cells because
-/// registration is idempotent.
+/// to the producer (queue side) and worker (table side) at construction;
+/// registration is idempotent, so handles registered twice for one shard
+/// share its cells.
 #[derive(Debug, Clone)]
 pub struct ShardObs {
     /// Shard index these handles are labeled with.
@@ -68,14 +70,14 @@ pub struct ShardObs {
     pub records: Counter,
     /// `ltc_shard_batch_insert_ns` — per-batch `insert_batch` wall time.
     pub batch_insert_ns: Histogram,
-    /// `ltc_worker_restarts_total` — times this shard's worker was
-    /// respawned after a fault.
+    /// `ltc_worker_restarts_total` — faults this shard's worker recovered
+    /// from within its restart budget.
     pub restarts: Counter,
     /// `ltc_worker_degradations_total` — times this shard exhausted its
     /// restart budget and went lossy.
     pub degradations: Counter,
     /// `ltc_shard_records_lost_total` — records dropped on this shard
-    /// (salvage drains + lossy mode).
+    /// (discarded by rollbacks + dropped in lossy mode).
     pub records_lost: Counter,
 }
 
@@ -279,7 +281,7 @@ impl RuntimeObs {
     }
 
     /// Register (idempotently) and return the wait-free handle bundle for
-    /// one shard. Called at spawn/restart time, never on the hot path.
+    /// one shard. Called at construction time, never on the hot path.
     pub fn shard(&self, shard: u64) -> ShardObs {
         let l = || labels([("shard", shard.to_string())]);
         ShardObs {
@@ -311,7 +313,7 @@ impl RuntimeObs {
             ),
             restarts: self.registry.counter(
                 "ltc_worker_restarts_total",
-                "Worker respawns after a fault.",
+                "Worker fault recoveries within the restart budget.",
                 l(),
             ),
             degradations: self.registry.counter(
@@ -321,15 +323,15 @@ impl RuntimeObs {
             ),
             records_lost: self.registry.counter(
                 "ltc_shard_records_lost_total",
-                "Records dropped on this shard (salvage drains + lossy mode).",
+                "Records dropped on this shard (rollbacks + lossy mode).",
                 l(),
             ),
         }
     }
 
     /// Register (idempotently) the fault counter for one fault kind:
-    /// `ltc_worker_faults_total{kind="…"}`. Supervisor path — may take the
-    /// registry lock.
+    /// `ltc_worker_faults_total{kind="…"}`. Fault-recovery path — may take
+    /// the registry lock.
     pub fn fault_counter(&self, kind: &str) -> Counter {
         self.registry.counter(
             "ltc_worker_faults_total",
@@ -455,9 +457,9 @@ mod tests {
         let obs = RuntimeObs::new();
         let first = obs.shard(0);
         first.restarts.inc();
-        let respawned = obs.shard(0);
-        respawned.restarts.inc();
-        assert_eq!(first.restarts.get(), 2, "same cells after respawn");
+        let second = obs.shard(0);
+        second.restarts.inc();
+        assert_eq!(first.restarts.get(), 2, "same cells when registered twice");
     }
 
     #[test]

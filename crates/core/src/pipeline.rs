@@ -1,4 +1,4 @@
-//! Multi-threaded sharded ingestion pipeline with supervised workers.
+//! Multi-threaded sharded ingestion pipeline with self-supervising workers.
 //!
 //! [`ParallelLtc`] is the threaded runtime over the hash-sharding scheme of
 //! [`crate::sharded`]: `N` worker threads, each owning one [`Ltc`] shard,
@@ -29,36 +29,35 @@
 //! ## Fault model and supervision
 //!
 //! A shard worker that panics (a bug, a poisoned input, an injected
-//! failpoint) no longer aborts the process. The worker catches the unwind,
-//! poisons its queue (so the router can never block on it), marks its
-//! [`Progress`] barrier dead (so a waiting `end_period` returns instead of
-//! deadlocking) and exits with a typed [`WorkerFault`] as its thread's
-//! result. The coordinator then *supervises* the lane:
+//! failpoint) neither aborts the process nor exits: each worker is its own
+//! supervisor. It catches the unwind and, on its own thread:
 //!
-//! 1. the dead worker is joined, and the join yields its fault;
-//! 2. the shard table is rolled back to its **rollback image** — a copy of
-//!    the table that the worker brings up to date at every period boundary
-//!    by copying only the bucket tiles dirtied since its last capture
-//!    (the image keeps its own dirty cursor, so the durability service's
-//!    deltas are unaffected);
-//! 3. within the retry budget ([`FaultPolicy::max_restarts`]) a fresh
-//!    worker is spawned on a fresh queue after an exponential backoff, and
-//!    any barrier message still in flight is re-sent so the epoch
-//!    boundary completes;
-//! 4. once the budget is exhausted the shard is marked **lossy**: records
-//!    routed to it are dropped (and counted), while queries keep serving
-//!    the shard's last-good state alongside the healthy shards. Each
-//!    period the runtime closes still closes on a lossy shard's table,
-//!    with no records, so every shard keeps one period count and a
-//!    degraded runtime's checkpoints restore.
+//! 1. journals the fault;
+//! 2. copies its **rollback image** back over the shard table. The image is
+//!    a copy of the table that the worker owns and brings up to date at
+//!    every period boundary by copying only the bucket tiles dirtied since
+//!    its last capture (the image keeps its own dirty cursor, so the
+//!    durability service's deltas are unaffected);
+//! 3. counts what the rollback discarded: the records applied since the
+//!    last boundary, plus the faulting batch;
+//! 4. within the retry budget ([`FaultPolicy::max_restarts`]), sleeps an
+//!    exponential backoff and carries on with the next message. A faulting
+//!    batch is dropped; a faulting `EndPeriod` or `Finish` is applied again
+//!    on the restored table, so its barrier completes;
+//! 5. once the budget is exhausted, turns the shard **lossy**: every later
+//!    batch is dropped (and counted), while queries keep serving the
+//!    shard's last-good state alongside the healthy shards. A lossy worker
+//!    still closes every period, with no records, so every shard keeps one
+//!    period count and a degraded runtime's checkpoints restore.
 //!
-//! Records between the last period boundary and the fault are lost — that
-//! is the documented recovery semantic (at-most-once per shard epoch), and
-//! [`ShardHealth`] reports both the restarts and a lower bound on the loss.
-//! Operations that can observe a degraded runtime return
-//! `Result<_, RuntimeError>`; the [`StreamProcessor`]/[`SignificanceQuery`]
-//! trait impls stay infallible by design and serve best-effort degraded
-//! answers instead.
+//! Every message is acknowledged, faulting or not, so a barrier only
+//! flushes, broadcasts and waits. Records between the last period boundary
+//! and the fault are lost — that is the documented recovery semantic
+//! (at-most-once per shard epoch) — and [`ShardHealth`] reports both the
+//! restarts and exactly how many records were lost. Operations that can
+//! observe a degraded runtime return `Result<_, RuntimeError>`; the
+//! [`StreamProcessor`]/[`SignificanceQuery`] trait impls stay infallible by
+//! design and serve best-effort degraded answers instead.
 //!
 //! ## Queries
 //!
@@ -79,7 +78,7 @@ use ltc_common::{
     top_k_of, BatchStreamProcessor, Estimate, ItemId, MemoryUsage, SignificanceQuery,
     StreamProcessor,
 };
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -110,42 +109,25 @@ enum Msg {
     EndPeriod(Option<SpanCtx>),
     /// Stream over: harvest final-period flags.
     Finish(Option<SpanCtx>),
+    /// A checkpoint restore rewrote the shard: this full image of the
+    /// restored table replaces the worker's rollback image, and the worker
+    /// starts over healthy. Acknowledged like every message, though no
+    /// caller waits for it on its own.
+    Restore(RollbackImage),
     /// Exit the worker loop.
     Shutdown,
 }
 
-/// Control messages the barrier can (re-)broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ctrl {
-    EndPeriod,
-    Finish,
-    Shutdown,
-}
+/// A control message a barrier broadcasts, built from the barrier span's
+/// context.
+type Control = fn(Option<SpanCtx>) -> Msg;
 
-impl Ctrl {
-    /// The queue message for this control, carrying the barrier span's
-    /// context (re-sends after a restart pass `None`: the original barrier
-    /// span has already closed by then).
-    fn to_msg(self, ctx: Option<SpanCtx>) -> Msg {
-        match self {
-            Ctrl::EndPeriod => Msg::EndPeriod(ctx),
-            Ctrl::Finish => Msg::Finish(ctx),
-            Ctrl::Shutdown => Msg::Shutdown,
-        }
-    }
-}
-
-/// How a worker died — the typed half of a [`WorkerFault`], also used as
-/// the `kind` label of the `ltc_worker_faults_total` metric.
+/// How a worker faulted — the typed half of a [`WorkerFault`], also used
+/// as the `kind` label of the `ltc_worker_faults_total` metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The worker's message handler panicked (caught by `catch_unwind`).
     Panic,
-    /// The OS refused to spawn a replacement thread.
-    SpawnFailed,
-    /// The worker exited without leaving a fault report (should not
-    /// happen; kept typed so it is visible if it ever does).
-    Silent,
 }
 
 impl FaultKind {
@@ -153,8 +135,6 @@ impl FaultKind {
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::SpawnFailed => "spawn_failed",
-            FaultKind::Silent => "silent",
         }
     }
 
@@ -162,8 +142,6 @@ impl FaultKind {
     pub fn code(self) -> u64 {
         match self {
             FaultKind::Panic => 0,
-            FaultKind::SpawnFailed => 1,
-            FaultKind::Silent => 2,
         }
     }
 }
@@ -174,14 +152,15 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// A typed report of one worker death, surfaced to the coordinator.
+/// A typed report of one worker fault, surfaced through
+/// [`ParallelLtc::health`] and [`RuntimeError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerFault {
-    /// Which shard's worker died.
+    /// Which shard's worker faulted.
     pub shard: usize,
-    /// How it died.
+    /// How it faulted.
     pub kind: FaultKind,
-    /// The panic message (or a description of the spawn failure).
+    /// The panic message.
     pub message: String,
 }
 
@@ -230,11 +209,12 @@ impl std::error::Error for RuntimeError {}
 /// Per-shard health as reported by [`ParallelLtc::health`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardHealth {
-    /// The worker is live (possibly after supervised restarts).
+    /// The shard takes records (possibly after recovering from faults).
     Healthy {
         /// Restarts consumed so far (0 = never faulted).
         restarts: u32,
-        /// Lower bound on records dropped during past recoveries.
+        /// Records discarded by past rollbacks: those applied since the
+        /// last period boundary, plus the faulting batch.
         records_lost: u64,
         /// Journal sequence number of this shard's most recent
         /// [`crate::obs::EventKind::WorkerFault`] event — correlate with
@@ -249,7 +229,8 @@ pub enum ShardHealth {
         fault: WorkerFault,
         /// Restarts consumed before the budget ran out.
         restarts: u32,
-        /// Lower bound on records dropped (recoveries + post-degradation).
+        /// Records discarded by rollbacks, plus every record dropped
+        /// since the shard turned lossy.
         records_lost: u64,
         /// Journal sequence number of the most recent fault event (see
         /// the `Healthy` variant).
@@ -276,9 +257,9 @@ impl ShardHealth {
     }
 }
 
-/// Poison-tolerant lock. A worker that panicked is surfaced by the typed
-/// fault path (its queue is poisoned and its barrier marked dead) — not by
-/// cascading poison panics through every query path.
+/// Poison-tolerant lock. A worker that panics while holding a lock
+/// recovers through its own fault path — not by cascading poison panics
+/// through every query path.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -286,34 +267,20 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Returned by [`Progress::wait_for`] when the worker behind the barrier
-/// died before reaching the target: the waiter must run supervision
-/// instead of blocking forever.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierPoisoned;
-
-#[derive(Debug)]
-struct ProgressState {
-    done: u64,
-    dead: bool,
-}
-
 /// Monotone completion counter a worker bumps after every message, with a
 /// condvar so the router can wait for a target — the ack half of the epoch
-/// barrier — plus a `dead` flag the worker raises when it dies, so the
-/// router's wait returns [`BarrierPoisoned`] instead of deadlocking.
+/// barrier. A worker acknowledges every message, faulting or not, so a
+/// wait always ends.
 ///
 /// Built on [`crate::shim`] primitives and exposed (`#[doc(hidden)]`) so
-/// `tests/loom_barrier.rs` can model-check the wait/bump/mark-dead
-/// handshake under every bounded interleaving: `wait_for(t)` must never
-/// return `Ok` before `t` bumps happened, must never miss a wakeup, and
-/// must return `Err` in every interleaving where the worker dies short of
-/// the target. Not part of the public API.
+/// `tests/loom_barrier.rs` can model-check the wait/bump handshake under
+/// every bounded interleaving: `wait_for(t)` must never return before `t`
+/// bumps happened, and must never miss a wakeup. Not part of the public
+/// API.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct Progress {
-    state: crate::shim::Mutex<ProgressState>,
+    done: crate::shim::Mutex<u64>,
     changed: crate::shim::Condvar,
 }
 
@@ -327,16 +294,13 @@ impl Progress {
     /// A counter at zero.
     pub fn new() -> Self {
         Self {
-            state: crate::shim::Mutex::new(ProgressState {
-                done: 0,
-                dead: false,
-            }),
+            done: crate::shim::Mutex::new(0),
             changed: crate::shim::Condvar::new(),
         }
     }
 
-    fn lock(&self) -> crate::shim::MutexGuard<'_, ProgressState> {
-        match self.state.lock() {
+    fn lock(&self) -> crate::shim::MutexGuard<'_, u64> {
+        match self.done.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -344,87 +308,312 @@ impl Progress {
 
     /// Record one completed message and wake any waiting router.
     pub fn bump(&self) {
-        let mut state = self.lock();
-        state.done = state.done.saturating_add(1);
-        drop(state);
+        let mut done = self.lock();
+        *done = done.saturating_add(1);
+        drop(done);
         self.changed.notify_all();
     }
 
-    /// Raise the dead flag (the worker is exiting on a fault) and wake any
-    /// waiting router so it can supervise instead of blocking forever.
-    pub fn mark_dead(&self) {
-        let mut state = self.lock();
-        state.dead = true;
-        drop(state);
-        self.changed.notify_all();
-    }
-
-    /// Block until at least `target` messages have completed (`Ok`), or
-    /// until the worker is marked dead short of the target (`Err`). The
-    /// predicate is (re)checked under the same lock `bump` and `mark_dead`
-    /// hold while mutating, so a wakeup between the check and the wait
-    /// cannot be lost — `tests/loom_barrier.rs` proves a check-then-wait
-    /// variant without that discipline deadlocks.
-    pub fn wait_for(&self, target: u64) -> Result<(), BarrierPoisoned> {
-        let mut state = self.lock();
-        while state.done < target {
-            if state.dead {
-                return Err(BarrierPoisoned);
-            }
-            state = match self.changed.wait(state) {
+    /// Block until at least `target` messages have completed. The
+    /// predicate is (re)checked under the same lock `bump` holds while
+    /// mutating, so a wakeup between the check and the wait cannot be lost
+    /// — `tests/loom_barrier.rs` proves a check-then-wait variant without
+    /// that discipline deadlocks.
+    pub fn wait_for(&self, target: u64) {
+        let mut done = self.lock();
+        while *done < target {
+            done = match self.changed.wait(done) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        Ok(())
     }
 }
 
-/// Everything a worker thread needs, bundled so respawning is one call.
-struct WorkerCtx {
-    shard_index: usize,
-    queue: Arc<SpscRing<Msg>>,
-    shard: Arc<Mutex<Ltc>>,
-    progress: Arc<Progress>,
-    /// The shard's rollback image, which this worker brings up to date
-    /// under the shard lock at every `EndPeriod` and `Finish`.
-    last_good: Arc<Mutex<RollbackImage>>,
+/// One shard's fault record. Its worker writes it on a fault (and for
+/// every batch it drops once lossy); [`ParallelLtc::health`], the
+/// barrier's result and the audit read it; a restore resets it.
+#[derive(Debug, Default)]
+struct LaneHealth {
+    /// Restarts consumed from the budget.
+    restarts: u32,
+    /// Records discarded by rollbacks or dropped in lossy mode.
+    records_lost: u64,
+    /// Journal seq of this shard's most recent fault event.
+    last_fault_seq: Option<u64>,
+    /// `Some(fault)` once the budget is exhausted.
+    lossy: Option<WorkerFault>,
+}
+
+impl LaneHealth {
+    fn report(&self) -> ShardHealth {
+        match &self.lossy {
+            Some(fault) => ShardHealth::Lossy {
+                fault: fault.clone(),
+                restarts: self.restarts,
+                records_lost: self.records_lost,
+                last_fault_seq: self.last_fault_seq,
+            },
+            None => ShardHealth::Healthy {
+                restarts: self.restarts,
+                records_lost: self.records_lost,
+                last_fault_seq: self.last_fault_seq,
+            },
+        }
+    }
+}
+
+/// What a worker owns of its shard: the table handle, the rollback image,
+/// and what it needs to recover from a fault on its own.
+struct WorkerShard {
+    index: usize,
+    table: Arc<Mutex<Ltc>>,
+    /// The table as of its last period boundary: brought up to date at
+    /// every `EndPeriod` and `Finish`, copied back over the table on a
+    /// fault, and replaced by a restore.
+    image: RollbackImage,
+    /// Records applied since `image` was captured: what a rollback
+    /// discards.
+    applied: u64,
+    /// Set once the restart budget is spent. Mirrors `health.lossy`, so
+    /// the batch path takes no lock to read it.
+    lossy: bool,
+    health: Arc<Mutex<LaneHealth>>,
+    /// The runtime's `degraded` flag, raised when this shard turns lossy.
+    degraded: Arc<AtomicBool>,
+    policy: FaultPolicy,
+    /// The runtime's journal and fault counters (`None` = metrics off).
+    obs: Option<Arc<RuntimeObs>>,
     /// Wait-free metric handles for this shard (`None` = metrics off).
-    obs: Option<ShardObs>,
+    metrics: Option<ShardObs>,
+}
+
+impl WorkerShard {
+    /// Apply one message, inside the worker's catch boundary. A lossy
+    /// shard drops (and counts) batches and closes periods without the
+    /// failpoints, so injection cannot make its close fault.
+    fn apply(&mut self, msg: &Msg) {
+        match msg {
+            Msg::Batch(ids, _) if self.lossy => {
+                let len = ids.len() as u64;
+                let mut health = lock_recover(&self.health);
+                health.records_lost = health.records_lost.saturating_add(len);
+                drop(health);
+                if let Some(metrics) = &self.metrics {
+                    metrics.records_lost.add(len);
+                }
+            }
+            Msg::Batch(ids, _) => {
+                fail_point!("worker::batch");
+                // Per-batch timing only — the per-record path inside
+                // `insert_batch` stays untouched, so the instrumentation
+                // cost is two clock reads amortised over the whole batch.
+                let start = self.metrics.as_ref().map(|_| Instant::now());
+                lock_recover(&self.table).insert_batch(ids);
+                self.applied = self.applied.saturating_add(ids.len() as u64);
+                if let (Some(metrics), Some(start)) = (&self.metrics, start) {
+                    metrics.batch_insert_ns.record(elapsed_ns(start));
+                    metrics.batches.inc();
+                    metrics.records.add(ids.len() as u64);
+                    // `queue_depth` is deliberately NOT updated here: the
+                    // producer already refreshes it on every push, and a
+                    // second writer on this side would ping-pong the gauge's
+                    // cache line between cores on every batch.
+                }
+            }
+            Msg::EndPeriod(_) => {
+                if !self.lossy {
+                    fail_point!("worker::end_period");
+                }
+                self.close(Ltc::end_period);
+            }
+            Msg::Finish(_) => self.close(Ltc::finalize),
+            Msg::Restore(_) | Msg::Shutdown => {}
+        }
+    }
+
+    /// Close the period (or the stream) with `close`, then bring the image
+    /// up to date.
+    fn close(&mut self, close: fn(&mut Ltc)) {
+        let mut table = lock_recover(&self.table);
+        close(&mut table);
+        table.capture_rollback(&mut self.image);
+        self.applied = 0;
+    }
+
+    /// Recover from a panic in [`apply`](Self::apply). This runs outside
+    /// the catch boundary, so it must not panic: it journals the fault,
+    /// copies the image back over the table, counts what the rollback
+    /// discarded (`batch` is the faulting batch's length), then sleeps the
+    /// backoff — or, with the budget spent, turns the shard lossy.
+    fn recover(&mut self, message: String, batch: u64) {
+        let shard = self.index as u64;
+        let kind = FaultKind::Panic;
+        let seq = self
+            .obs
+            .as_ref()
+            .and_then(|obs| obs.note_fault(shard, kind.name(), kind.code()));
+        lock_recover(&self.table).roll_back(&self.image);
+        let lost = self.applied.saturating_add(batch);
+        self.applied = 0;
+        let mut health = lock_recover(&self.health);
+        if seq.is_some() {
+            health.last_fault_seq = seq;
+        }
+        health.records_lost = health.records_lost.saturating_add(lost);
+        if let Some(metrics) = &self.metrics {
+            metrics.records_lost.add(lost);
+        }
+        if let Some(obs) = &self.obs {
+            obs.note_rollback(shard, u64::from(health.restarts));
+        }
+        if self.lossy {
+            return;
+        }
+        if health.restarts >= self.policy.max_restarts {
+            self.lossy = true;
+            health.lossy = Some(WorkerFault {
+                shard: self.index,
+                kind,
+                message,
+            });
+            self.degraded.store(true, Ordering::Release);
+            if let Some(metrics) = &self.metrics {
+                metrics.degradations.inc();
+            }
+            if let Some(obs) = &self.obs {
+                obs.note_degradation(shard, health.records_lost);
+            }
+            return;
+        }
+        health.restarts = health.restarts.saturating_add(1);
+        let backoff = self.policy.backoff_for(health.restarts);
+        drop(health);
+        if let Some(metrics) = &self.metrics {
+            metrics.restarts.inc();
+        }
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+    }
+
+    /// Take a restored table's image and start over healthy (the caller
+    /// has already reset the lane's health record).
+    fn restore(&mut self, image: RollbackImage) {
+        self.image = image;
+        self.applied = 0;
+        self.lossy = false;
+    }
+}
+
+/// One shard worker thread: its end of the lane, its span ring and its
+/// shard.
+struct Worker {
+    queue: Arc<SpscRing<Msg>>,
+    progress: Arc<Progress>,
     /// This shard's span ring (`None` = tracing off). Wait-free record
     /// path; drained by the router behind the epoch barrier.
     trace: Option<TraceTrack>,
+    shard: WorkerShard,
+}
+
+impl Worker {
+    /// Serve messages until `Shutdown`, acknowledging every one, whether
+    /// its handler faulted or not.
+    fn run(mut self) {
+        while let Some(msg) = self.queue.pop() {
+            match msg {
+                Msg::Restore(image) => self.shard.restore(image),
+                Msg::Shutdown => {
+                    self.progress.bump();
+                    return;
+                }
+                msg => self.serve(&msg),
+            }
+            self.progress.bump();
+        }
+    }
+
+    /// Apply `msg` inside the catch boundary. On a panic, recover; then a
+    /// faulting batch is dropped, and a faulting period close is applied
+    /// again on the rolled-back table so its barrier completes. A close
+    /// that faults on an already lossy shard is not tried again: a lossy
+    /// close runs no failpoint, so its panic is a bug that would recur.
+    fn serve(&mut self, msg: &Msg) {
+        loop {
+            // Pre-derive the apply span's identity from the shipped context
+            // *before* entering `catch_unwind`: a panicking handler still
+            // records its (partial) span via the guard's `Drop`, and the
+            // fault event below parents under the same context.
+            let span_plan = self.trace.as_ref().and_then(|t| {
+                let plan = |parent: Option<SpanCtx>, name: u64| {
+                    let span = t.child_or_root(parent);
+                    let parent_id = parent.map(|p| p.span_id).unwrap_or(0);
+                    (span, parent_id, name)
+                };
+                match msg {
+                    Msg::Batch(_, enqueue) => Some(plan(*enqueue, names::BATCH_PROCESS)),
+                    Msg::EndPeriod(barrier) => Some(plan(*barrier, names::END_PERIOD_APPLY)),
+                    Msg::Finish(barrier) => Some(plan(*barrier, names::FINISH_APPLY)),
+                    Msg::Restore(_) | Msg::Shutdown => None,
+                }
+            });
+            let was_lossy = self.shard.lossy;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _apply_span = match (&self.trace, &span_plan) {
+                    (Some(t), Some((span, parent_id, name))) => {
+                        Some(t.span_at(*span, *name, *parent_id))
+                    }
+                    _ => None,
+                };
+                self.shard.apply(msg);
+            }));
+            let Err(payload) = outcome else {
+                return;
+            };
+            // Mark the fault in the trace first: a zero-duration
+            // `worker_fault` span parented under the apply span that died,
+            // so the panic shows up inside the batch's causal tree.
+            if let (Some(t), Some((span, _, _))) = (&self.trace, &span_plan) {
+                t.event(names::WORKER_FAULT, Some(*span));
+            }
+            let batch = match msg {
+                Msg::Batch(ids, _) => Some(ids.len() as u64),
+                _ => None,
+            };
+            self.shard
+                .recover(panic_message(payload.as_ref()), batch.unwrap_or(0));
+            if batch.is_some() || was_lossy {
+                return;
+            }
+        }
+    }
 }
 
 /// One shard's routing lane: the batch under construction, the channel to
-/// its worker, the barrier state, and the supervision bookkeeping.
+/// its worker, the barrier state, and the shard's health record.
 struct Lane {
     /// Per-shard batch under construction.
     pending: Vec<ItemId>,
-    /// Messages enqueued to the *current* worker (the barrier's send-side
-    /// count; reset on restart).
+    /// Messages enqueued to the worker (the barrier's send-side count).
     sent: u64,
     queue: Arc<SpscRing<Msg>>,
     progress: Arc<Progress>,
-    /// The shard's rollback image as of its last period boundary: the
-    /// worker copies the tiles dirtied since its previous capture into it,
-    /// and supervision copies it back whole.
-    last_good: Arc<Mutex<RollbackImage>>,
-    /// The running worker; joining a dead one yields its fault.
-    worker: Option<JoinHandle<Option<WorkerFault>>>,
-    /// Restarts consumed from the budget.
-    restarts: u32,
-    /// `Some(fault)` once the budget is exhausted.
-    lossy: Option<WorkerFault>,
-    /// Lower bound on records dropped (salvaged batches + lossy routing).
-    records_lost: u64,
+    health: Arc<Mutex<LaneHealth>>,
+    /// The worker thread, joined at shutdown.
+    worker: Option<JoinHandle<()>>,
     /// Wait-free metric handles for this shard (`None` = metrics off).
     obs: Option<ShardObs>,
-    /// The shard worker's span ring; cloned into every respawned worker so
-    /// restarted workers keep recording into the same ring.
-    trace: Option<TraceTrack>,
-    /// Journal seq of this shard's most recent fault event.
-    last_fault_seq: Option<u64>,
+}
+
+impl Lane {
+    /// Enqueue `msg` for the worker, counting it for the barrier. The
+    /// pipeline never poisons a lane's ring, so the push always lands.
+    fn send(&mut self, msg: Msg) {
+        if self.queue.push(msg) {
+            self.sent = self.sent.saturating_add(1);
+        }
+    }
 }
 
 /// The router's tracing state: its own span ring plus the contexts that
@@ -449,10 +638,10 @@ struct Inner {
 
 /// A runtime's shard tables and its period gate, as one handle that the
 /// checkpoint layer borrows and the durability service clones. The barrier
-/// holds the gate across an `EndPeriod` or `Finish` broadcast, its acks
-/// and the lossy shards' matching close; a checkpoint holds it while it
-/// takes the shards' sections, and a restore while it commits. So every
-/// frame sees every shard at one period count.
+/// holds the gate across every broadcast (`EndPeriod`, `Finish`,
+/// `Shutdown`) and its acks; a checkpoint holds it while it takes the
+/// shards' sections, and a restore while it commits. So every frame sees every shard at one period
+/// count.
 #[derive(Clone)]
 pub(crate) struct ShardSet {
     /// The shard tables in shard order; their `Arc` identity survives a
@@ -482,8 +671,8 @@ impl ShardSet {
     }
 }
 
-/// The multi-threaded sharded LTC runtime with supervised workers. See the
-/// module docs.
+/// The multi-threaded sharded LTC runtime with self-supervising workers.
+/// See the module docs.
 pub struct ParallelLtc {
     inner: Mutex<Inner>,
     shards: ShardSet,
@@ -503,6 +692,10 @@ pub struct ParallelLtc {
     /// Set while a [`DurabilityService`](crate::durability::DurabilityService)
     /// is attached: the shards' dirty epochs serve one delta chain.
     durability: Arc<AtomicBool>,
+    /// Raised by the first worker whose shard turns lossy, and never
+    /// lowered: until then a barrier reads this one flag instead of every
+    /// lane's health lock (every query drains through a barrier).
+    degraded: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for ParallelLtc {
@@ -513,29 +706,6 @@ impl std::fmt::Debug for ParallelLtc {
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
-}
-
-/// Spawn a worker thread over `ctx`. Returns the fault (not a panic) if
-/// the OS refuses the thread, so supervision can degrade gracefully. The
-/// `worker::spawn` failpoint's [`FailAction::Error`](crate::failpoint::FailAction::Error)
-/// stands in for that refusal.
-fn spawn_worker(ctx: WorkerCtx) -> Result<JoinHandle<Option<WorkerFault>>, WorkerFault> {
-    let shard_index = ctx.shard_index;
-    let spawn_failed = |message: String| WorkerFault {
-        shard: shard_index,
-        kind: FaultKind::SpawnFailed,
-        message,
-    };
-    #[cfg(feature = "failpoints")]
-    {
-        if let Some(crate::failpoint::FailAction::Error) = crate::failpoint::hit("worker::spawn") {
-            return Err(spawn_failed("failpoint: worker::spawn".to_string()));
-        }
-    }
-    std::thread::Builder::new()
-        .name(format!("ltc-shard-{shard_index}"))
-        .spawn(move || worker_loop(&ctx))
-        .map_err(|e| spawn_failed(format!("spawn failed: {e}")))
 }
 
 /// Extract a readable message from a caught panic payload.
@@ -549,326 +719,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Apply messages until `Shutdown` or a torn-down lane (`None`), or until
-/// a handler panics: then the worker poisons its queue, marks its barrier
-/// dead and returns the fault, which the supervisor's join collects.
-fn worker_loop(ctx: &WorkerCtx) -> Option<WorkerFault> {
-    loop {
-        // `None` once poisoned and drained: the supervisor tore this lane
-        // down.
-        let msg = ctx.queue.pop()?;
-        let stop = matches!(msg, Msg::Shutdown);
-        // Pre-derive the apply span's identity from the shipped context
-        // *before* entering `catch_unwind`: a panicking handler still
-        // records its (partial) span via the guard's `Drop`, and the fault
-        // event below parents under the same context.
-        let span_plan = ctx.trace.as_ref().and_then(|t| {
-            let plan = |parent: Option<SpanCtx>, name: u64| {
-                let span = t.child_or_root(parent);
-                let parent_id = parent.map(|p| p.span_id).unwrap_or(0);
-                (span, parent_id, name)
-            };
-            match &msg {
-                Msg::Batch(_, enqueue) => Some(plan(*enqueue, names::BATCH_PROCESS)),
-                Msg::EndPeriod(barrier) => Some(plan(*barrier, names::END_PERIOD_APPLY)),
-                Msg::Finish(barrier) => Some(plan(*barrier, names::FINISH_APPLY)),
-                Msg::Shutdown => None,
-            }
-        });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _apply_span = match (&ctx.trace, &span_plan) {
-                (Some(t), Some((span, parent_id, name))) => {
-                    Some(t.span_at(*span, *name, *parent_id))
-                }
-                _ => None,
-            };
-            match msg {
-                Msg::Batch(ids, _) => {
-                    fail_point!("worker::batch");
-                    // Per-batch timing only — the per-record path inside
-                    // `insert_batch` stays untouched, so the instrumentation
-                    // cost is two clock reads amortised over the whole batch.
-                    let start = ctx.obs.as_ref().map(|_| Instant::now());
-                    lock_recover(&ctx.shard).insert_batch(&ids);
-                    if let (Some(obs), Some(start)) = (&ctx.obs, start) {
-                        obs.batch_insert_ns.record(elapsed_ns(start));
-                        obs.batches.inc();
-                        obs.records.add(ids.len() as u64);
-                        // `queue_depth` is deliberately NOT updated here: the
-                        // producer already refreshes it on every push, and a
-                        // second writer on this side would ping-pong the gauge's
-                        // cache line between cores on every batch.
-                    }
-                }
-                Msg::EndPeriod(_) => {
-                    fail_point!("worker::end_period");
-                    let mut shard = lock_recover(&ctx.shard);
-                    shard.end_period();
-                    shard.capture_rollback(&mut lock_recover(&ctx.last_good));
-                }
-                Msg::Finish(_) => {
-                    let mut shard = lock_recover(&ctx.shard);
-                    shard.finalize();
-                    shard.capture_rollback(&mut lock_recover(&ctx.last_good));
-                }
-                Msg::Shutdown => {}
-            }
-        }));
-        if let Err(payload) = outcome {
-            // Mark the fault in the trace first: a zero-duration
-            // `worker_fault` span parented under the apply span that died,
-            // so the panic shows up inside the batch's causal tree.
-            if let (Some(t), Some((span, _, _))) = (&ctx.trace, &span_plan) {
-                t.event(names::WORKER_FAULT, Some(*span));
-            }
-            ctx.queue.poison();
-            ctx.progress.mark_dead();
-            return Some(WorkerFault {
-                shard: ctx.shard_index,
-                kind: FaultKind::Panic,
-                message: panic_message(payload.as_ref()),
-            });
-        }
-        ctx.progress.bump();
-        if stop {
-            return None;
-        }
-    }
-}
-
-/// Push `id` onto a lane's pending batch, handing the whole batch to the
-/// worker's queue once it fills. Returns `false` when the push found the
-/// queue poisoned (worker death) — the caller must supervise the lane.
-#[inline]
-fn route_one(
-    lane: &mut Lane,
-    batch_size: usize,
-    id: ItemId,
-    trace: Option<&mut RouterTrace>,
-) -> bool {
-    if lane.lossy.is_some() {
-        // Degraded: the record is dropped, but counted.
-        lane.records_lost = lane.records_lost.saturating_add(1);
-        if let Some(obs) = &lane.obs {
-            obs.records_lost.inc();
-        }
-        return true;
-    }
-    lane.pending.push(id);
-    if lane.pending.len() >= batch_size {
-        return flush_lane(lane, batch_size, trace);
-    }
-    true
-}
-
 /// Hand a lane's pending batch (if any) to its worker's queue, opening a
 /// root `batch_enqueue` span around the hand-off (the batch's causal tree
-/// grows from it). Returns `false` on a poisoned queue (worker death).
-fn flush_lane(lane: &mut Lane, batch_size: usize, trace: Option<&mut RouterTrace>) -> bool {
-    if lane.pending.is_empty() || lane.lossy.is_some() {
-        return true;
+/// grows from it).
+fn flush_lane(lane: &mut Lane, batch_size: usize, trace: Option<&mut RouterTrace>) {
+    if lane.pending.is_empty() {
+        return;
     }
     let batch = std::mem::replace(&mut lane.pending, Vec::with_capacity(batch_size));
-    let len = batch.len() as u64;
-    lane.sent = lane.sent.saturating_add(1);
     let pending_span = trace.as_ref().map(|t| t.track.begin(None));
     let enqueue_ctx = pending_span.as_ref().map(|p| p.ctx);
-    if lane.queue.push(Msg::Batch(batch, enqueue_ctx)) {
-        if let (Some(t), Some(p)) = (trace, pending_span) {
-            t.track.finish(&p, names::BATCH_ENQUEUE);
-            t.last_enqueue = Some(p.ctx);
-        }
-        if let Some(obs) = &lane.obs {
-            obs.queue_depth.set(lane.queue.len() as u64);
-        }
-        true
-    } else {
-        // The ring dropped the batch: the worker is dead and those
-        // records die with the rollback anyway. Count them.
-        lane.records_lost = lane.records_lost.saturating_add(len);
-        if let Some(obs) = &lane.obs {
-            obs.records_lost.add(len);
-        }
-        false
+    lane.send(Msg::Batch(batch, enqueue_ctx));
+    if let (Some(t), Some(p)) = (trace, pending_span) {
+        t.track.finish(&p, names::BATCH_ENQUEUE);
+        t.last_enqueue = Some(p.ctx);
     }
-}
-
-/// A fresh lane ring, with the shard's stall counter attached when the
-/// runtime is observable (so restarted lanes keep counting backpressure
-/// into the same cell).
-fn fresh_ring(obs: Option<&ShardObs>) -> SpscRing<Msg> {
-    let ring = SpscRing::with_capacity(RING_CAPACITY);
-    match obs {
-        Some(shard_obs) => ring.with_stall_counter(shard_obs.queue_stalls.clone()),
-        None => ring,
-    }
-}
-
-/// Count + journal a worker fault, remembering its journal seq on the lane
-/// so health() can point at it.
-fn note_fault(lane: &mut Lane, fault: &WorkerFault, obs: Option<&RuntimeObs>) {
-    if let Some(o) = obs {
-        if let Some(seq) = o.note_fault(fault.shard as u64, fault.kind.name(), fault.kind.code()) {
-            lane.last_fault_seq = Some(seq);
-        }
-    }
-}
-
-/// Degrade a lane to lossy mode on its terminal `fault`: poison the queue
-/// so nothing more is handed to it, then count + journal the degradation.
-fn degrade(lane: &mut Lane, fault: WorkerFault, obs: Option<&RuntimeObs>) {
-    let shard_index = fault.shard;
-    lane.queue.poison();
-    lane.sent = 0;
-    lane.lossy = Some(fault);
-    if let Some(shard_obs) = &lane.obs {
-        shard_obs.degradations.inc();
-    }
-    if let Some(o) = obs {
-        o.note_degradation(shard_index as u64, lane.records_lost);
-    }
-}
-
-/// Start a worker for `lane` on a fresh queue and barrier,
-/// ingesting into `shard` from its current state. The one spawn path: the
-/// constructor, supervision and the post-restore revive all come here, so
-/// a refused spawn is handled the same way everywhere — journaled as the
-/// lane's fault, and the lane degraded to lossy. Returns whether a worker
-/// is running.
-fn start_worker(
-    lane: &mut Lane,
-    shard: &Arc<Mutex<Ltc>>,
-    shard_index: usize,
-    obs: Option<&RuntimeObs>,
-) -> bool {
-    lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
-    lane.progress = Arc::new(Progress::new());
-    lane.sent = 0;
-    let ctx = WorkerCtx {
-        shard_index,
-        queue: Arc::clone(&lane.queue),
-        shard: Arc::clone(shard),
-        progress: Arc::clone(&lane.progress),
-        last_good: Arc::clone(&lane.last_good),
-        obs: lane.obs.clone(),
-        trace: lane.trace.clone(),
-    };
-    match spawn_worker(ctx) {
-        Ok(handle) => {
-            lane.worker = Some(handle);
-            true
-        }
-        Err(fault) => {
-            note_fault(lane, &fault, obs);
-            degrade(lane, fault, obs);
-            false
-        }
-    }
-}
-
-/// Supervise a lane whose worker died: join it, salvage what the queue
-/// still holds, roll the shard back to its rollback image, and restart
-/// the worker (within the budget, after backoff) or mark the lane lossy.
-/// `resend` is the control message the current barrier still needs acked;
-/// it is re-enqueued to the restarted worker.
-fn supervise_lane(
-    lane: &mut Lane,
-    shard: &Arc<Mutex<Ltc>>,
-    shard_index: usize,
-    policy: &FaultPolicy,
-    resend: Option<Ctrl>,
-    obs: Option<&RuntimeObs>,
-) {
-    if lane.lossy.is_some() {
-        return;
-    }
-    // 1. The worker is gone (it poisoned the queue / marked the barrier
-    //    dead on its way out); joining cannot block, and yields its fault.
-    let fault = match lane.worker.take().map(JoinHandle::join) {
-        Some(Ok(Some(fault))) => fault,
-        Some(Err(payload)) => WorkerFault {
-            shard: shard_index,
-            kind: FaultKind::Panic,
-            message: panic_message(payload.as_ref()),
-        },
-        _ => WorkerFault {
-            shard: shard_index,
-            kind: FaultKind::Silent,
-            message: "worker exited without reporting a fault".to_string(),
-        },
-    };
-    // Observe the fault before acting on it, so the journal seq exists by
-    // the time health() can report the new state.
-    note_fault(lane, &fault, obs);
-    // 2. Salvage the backlog. These batches were never applied; they are
-    //    part of the rollback loss, so count them. (Joining the worker
-    //    first transferred the consumer role to this thread.)
-    let mut salvaged: u64 = 0;
-    for msg in lane.queue.drain() {
-        if let Msg::Batch(ids, _) = msg {
-            salvaged = salvaged.saturating_add(ids.len() as u64);
-        }
-    }
-    lane.records_lost = lane.records_lost.saturating_add(salvaged);
-    if let Some(shard_obs) = &lane.obs {
-        shard_obs.records_lost.add(salvaged);
-    }
-    // 3. Roll the shard back to its image of the last period boundary:
-    //    the whole image is copied back and every bucket stamped dirty, so
-    //    the durability service's next delta carries the rolled-back
-    //    buckets. The image was taken from this very table, so the copy
-    //    cannot fail.
-    {
-        let mut table = lock_recover(shard);
-        table.roll_back(&lock_recover(&lane.last_good));
-    }
-    if let Some(o) = obs {
-        o.note_rollback(shard_index as u64, lane.restarts as u64);
-    }
-    // 4. Budget check: degrade to lossy once restarts are exhausted.
-    if lane.restarts >= policy.max_restarts {
-        degrade(lane, fault, obs);
-        return;
-    }
-    lane.restarts = lane.restarts.saturating_add(1);
-    if let Some(shard_obs) = &lane.obs {
-        shard_obs.restarts.inc();
-    }
-    let backoff = policy.backoff_for(lane.restarts);
-    if !backoff.is_zero() {
-        std::thread::sleep(backoff);
-    }
-    // 5. Respawn from the restored shard state.
-    if !start_worker(lane, shard, shard_index, obs) {
-        return;
-    }
-    // 6. Re-send the barrier message still in flight so the epoch closes
-    //    on the restored state.
-    if let Some(ctrl) = resend {
-        lane.sent = lane.sent.saturating_add(1);
-        // The original barrier span has already closed; the re-sent apply
-        // starts a fresh tree on the worker's side.
-        if !lane.queue.push(ctrl.to_msg(None)) {
-            // The replacement died instantly; the wait loop will
-            // re-supervise (and burn budget) on the next pass.
-        }
-    }
-}
-
-/// Wait for every live lane to ack everything sent, supervising lanes
-/// whose worker dies while we wait. `resend` is re-sent to a restarted
-/// worker so an in-flight barrier completes.
-fn wait_all(
-    lanes: &mut [Lane],
-    shards: &[Arc<Mutex<Ltc>>],
-    policy: &FaultPolicy,
-    resend: Option<Ctrl>,
-    obs: Option<&RuntimeObs>,
-) {
-    for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(shards) {
-        while lane.lossy.is_none() && lane.progress.wait_for(lane.sent).is_err() {
-            supervise_lane(lane, shard, shard_index, policy, resend, obs);
-        }
+    if let Some(obs) = &lane.obs {
+        obs.queue_depth.set(lane.queue.len() as u64);
     }
 }
 
@@ -939,10 +806,11 @@ impl ParallelLtc {
     /// Spawns workers on the [`spsc`](crate::spsc) rings.
     ///
     /// # Panics
-    /// Panics if `batch_size` or `num_shards` is 0, or if `config` is
-    /// time-driven: the runtime has no timestamped insert, so every batch
-    /// would panic its worker and supervision would drop the records. The
-    /// check runs before any worker spawns.
+    /// Panics if `batch_size` or `num_shards` is 0, if `config` is
+    /// time-driven (the runtime has no timestamped insert, so every batch
+    /// would fault its worker and the records would be dropped; the check
+    /// runs before any worker spawns), or if the OS refuses a worker
+    /// thread.
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,
@@ -963,34 +831,56 @@ impl ParallelLtc {
             .map(|ltc| Arc::new(Mutex::new(ltc)))
             .collect();
         let tracer = obs.as_ref().and_then(|o| o.tracer()).cloned();
+        let degraded = Arc::new(AtomicBool::new(false));
         let lanes = shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| {
-                let shard_obs = obs.as_ref().map(|o| o.shard(i as u64));
-                let mut lane = Lane {
+            .map(|(i, table)| {
+                let metrics = obs.as_ref().map(|o| o.shard(i as u64));
+                let ring = SpscRing::with_capacity(RING_CAPACITY);
+                let queue = Arc::new(match &metrics {
+                    Some(m) => ring.with_stall_counter(m.queue_stalls.clone()),
+                    None => ring,
+                });
+                let progress = Arc::new(Progress::new());
+                let health = Arc::new(Mutex::new(LaneHealth::default()));
+                let worker = Worker {
+                    queue: Arc::clone(&queue),
+                    progress: Arc::clone(&progress),
+                    trace: tracer.as_ref().map(|t| t.register(names::TRACK_SHARD)),
+                    shard: WorkerShard {
+                        index: i,
+                        table: Arc::clone(table),
+                        // The initial image is the pristine shard: a worker
+                        // that faults before its first period boundary rolls
+                        // back to an empty (but correctly configured) table.
+                        image: lock_recover(table).rollback_image(),
+                        applied: 0,
+                        lossy: false,
+                        health: Arc::clone(&health),
+                        degraded: Arc::clone(&degraded),
+                        policy,
+                        obs: obs.clone(),
+                        metrics: metrics.clone(),
+                    },
+                };
+                let spawned = std::thread::Builder::new()
+                    .name(format!("ltc-shard-{i}"))
+                    .spawn(move || worker.run());
+                let handle = match spawned {
+                    Ok(handle) => handle,
+                    // lint:allow(no_panic): startup-only, cannot be handled locally
+                    Err(e) => panic!("spawn shard worker {i}: {e}"),
+                };
+                Lane {
                     pending: Vec::with_capacity(batch_size),
                     sent: 0,
-                    queue: Arc::new(fresh_ring(shard_obs.as_ref())),
-                    progress: Arc::new(Progress::new()),
-                    // The initial image is the pristine shard: a worker
-                    // that dies before its first period boundary rolls back
-                    // to an empty (but correctly configured) table.
-                    last_good: Arc::new(Mutex::new(lock_recover(shard).rollback_image())),
-                    worker: None,
-                    restarts: 0,
-                    lossy: None,
-                    records_lost: 0,
-                    obs: shard_obs,
-                    trace: tracer.as_ref().map(|t| t.register(names::TRACK_SHARD)),
-                    last_fault_seq: None,
-                };
-                start_worker(&mut lane, shard, i, obs.as_deref());
-                if let Some(fault) = &lane.lossy {
-                    // lint:allow(no_panic): startup-only, cannot be handled locally
-                    panic!("spawn shard worker: {fault}");
+                    queue,
+                    progress,
+                    health,
+                    worker: Some(handle),
+                    obs: metrics,
                 }
-                lane
             })
             .collect();
         let trace = tracer.as_ref().map(|t| RouterTrace {
@@ -1012,6 +902,7 @@ impl ParallelLtc {
             periods: 0,
             restores: 0,
             durability: Arc::new(AtomicBool::new(false)),
+            degraded,
         }
     }
 
@@ -1061,9 +952,7 @@ impl ParallelLtc {
 
     /// Route one record to its shard's pending batch; hand the batch off
     /// when it fills. The hot path: one shard hash, one push, no locks.
-    /// A dead worker is supervised transparently; records routed to a
-    /// lossy shard are dropped and counted. Hand-off goes over the
-    /// lock-free [`spsc`](crate::spsc) ring.
+    /// Hand-off goes over the lock-free [`spsc`](crate::spsc) ring.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
         self.insert_batch(std::slice::from_ref(&id));
@@ -1075,37 +964,33 @@ impl ParallelLtc {
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = self.shards.tables.len();
         let batch_size = self.batch_size;
-        let policy = &self.policy;
-        let obs = self.obs.as_deref();
-        let shards = &self.shards.tables;
         let Inner { lanes, trace } = inner_mut(&mut self.inner);
         for &id in ids {
-            let shard_index = shard_of_id(id, n);
-            // `shard_of_id` returns a value below `n`, so the lookups
-            // succeed.
-            if let (Some(lane), Some(shard)) = (lanes.get_mut(shard_index), shards.get(shard_index))
-            {
-                if !route_one(lane, batch_size, id, trace.as_mut()) {
-                    supervise_lane(lane, shard, shard_index, policy, None, obs);
+            // `shard_of_id` returns a value below `n`, so the lookup
+            // succeeds.
+            if let Some(lane) = lanes.get_mut(shard_of_id(id, n)) {
+                lane.pending.push(id);
+                if lane.pending.len() >= batch_size {
+                    flush_lane(lane, batch_size, trace.as_mut());
                 }
             }
         }
     }
 
     /// Epoch barrier: every record routed so far reaches its shard, all
-    /// shards close the period, and the call returns only once every live
+    /// shards close the period, and the call returns only once every
     /// worker has acknowledged — the parallel stream sees the same period
-    /// boundary on every shard. Worker deaths during the barrier are
-    /// supervised (restart + re-send, or degradation). Control messages
+    /// boundary on every shard. A worker that faults during the barrier
+    /// recovers on its own and still closes the period. Control messages
     /// ride the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
-    /// still closed on every live shard; the runtime stays usable).
+    /// still closed on every shard; the runtime stays usable).
     pub fn end_period(&mut self) -> Result<(), RuntimeError> {
-        let result = self.barrier(Some(Ctrl::EndPeriod));
-        // The period closed on every live shard even when some are lossy,
-        // so the rollover is journalled in both cases.
+        let result = self.barrier(Some(Msg::EndPeriod));
+        // The period closed on every shard even when some are lossy, so
+        // the rollover is journalled in both cases.
         self.periods = self.periods.saturating_add(1);
         if let Some(obs) = &self.obs {
             obs.note_period_rollover(self.periods);
@@ -1128,8 +1013,9 @@ impl ParallelLtc {
         let audit_span = {
             let inner = inner_mut(&mut self.inner);
             for lane in &inner.lanes {
-                rollbacks = rollbacks.saturating_add(u64::from(lane.restarts));
-                if lane.lossy.is_some() {
+                let health = lock_recover(&lane.health);
+                rollbacks = rollbacks.saturating_add(u64::from(health.restarts));
+                if health.lossy.is_some() {
                     // The terminal rollback before degradation never
                     // consumed a restart from the budget.
                     rollbacks = rollbacks.saturating_add(1);
@@ -1156,16 +1042,16 @@ impl ParallelLtc {
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
     pub fn finish(&mut self) -> Result<(), RuntimeError> {
-        self.barrier(Some(Ctrl::Finish))
+        self.barrier(Some(Msg::Finish))
     }
 
-    /// Drain the pipeline: flush pending batches and wait until every live
+    /// Drain the pipeline: flush pending batches and wait until every
     /// worker has processed everything sent. Queries call this first.
     /// Flushing pushes onto the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy — the drain
-    /// itself still completed on every live shard, so degraded queries may
+    /// itself still completed on every shard, so degraded queries may
     /// proceed (the trait impls do exactly that).
     pub fn sync(&self) -> Result<(), RuntimeError> {
         self.barrier(None)
@@ -1180,80 +1066,49 @@ impl ParallelLtc {
         inner
             .lanes
             .iter()
-            .map(|lane| match &lane.lossy {
-                Some(fault) => ShardHealth::Lossy {
-                    fault: fault.clone(),
-                    restarts: lane.restarts,
-                    records_lost: lane.records_lost,
-                    last_fault_seq: lane.last_fault_seq,
-                },
-                None => ShardHealth::Healthy {
-                    restarts: lane.restarts,
-                    records_lost: lane.records_lost,
-                    last_fault_seq: lane.last_fault_seq,
-                },
-            })
+            .map(|lane| lock_recover(&lane.health).report())
             .collect()
     }
 
     /// The epoch barrier behind [`sync`](ParallelLtc::sync) and every
     /// broadcast: flush each lane's pending batch, enqueue `ctrl` (if any)
-    /// on every live queue, and wait until every live worker has processed
-    /// everything sent, supervising deaths along the way. The
-    /// `barrier_wait` span opens after the flush pass (parented under the
-    /// last `batch_enqueue`, so the drained batch's tree contains the wait
-    /// that drained it), ships its context inside the control messages,
-    /// and closes once every worker has acknowledged. An `EndPeriod` or
-    /// `Finish` broadcast, its acks and the lossy shards' period close run
-    /// under the period gate, so no checkpoint takes its sections while the
-    /// shards' period counts disagree. A worker that dies in that window is
-    /// supervised under the gate too (its rolled-back shard sits a period
-    /// behind until the re-sent message is applied), so a save can wait
-    /// out a restart's backoff.
-    fn barrier(&self, ctrl: Option<Ctrl>) -> Result<(), RuntimeError> {
+    /// on every queue, and wait until every worker has processed
+    /// everything sent. The `barrier_wait` span opens after the flush pass
+    /// (parented under the last `batch_enqueue`, so the drained batch's
+    /// tree contains the wait that drained it), ships its context inside
+    /// the control messages, and closes once every worker has
+    /// acknowledged. A broadcast and its acks run under the period gate,
+    /// so no checkpoint takes its sections while the shards' period
+    /// counts disagree. A worker that faults in that window recovers under
+    /// the gate too (its rolled-back shard sits a period behind until it
+    /// applies the close again), so a save can wait out a restart's
+    /// backoff.
+    fn barrier(&self, ctrl: Option<Control>) -> Result<(), RuntimeError> {
         let obs = self.obs.as_deref();
         let mut inner = lock_recover(&self.inner);
         let Inner { lanes, trace } = &mut *inner;
         // Pass 1: flush every lane's pending batch.
-        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards.tables) {
-            if !flush_lane(lane, self.batch_size, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
-            }
+        for lane in lanes.iter_mut() {
+            flush_lane(lane, self.batch_size, trace.as_mut());
         }
         let barrier = trace
             .as_ref()
             .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
-        let _gate = matches!(ctrl, Some(Ctrl::EndPeriod | Ctrl::Finish))
-            .then(|| self.shards.hold_periods());
-        // Pass 2: enqueue the control message on every live queue.
+        let _gate = ctrl.map(|_| self.shards.hold_periods());
+        // Pass 2: enqueue the control message on every queue.
         if let Some(ctrl) = ctrl {
             let barrier_ctx = barrier.as_ref().map(|(_, p)| p.ctx);
-            for ((shard_index, lane), shard) in
-                lanes.iter_mut().enumerate().zip(&self.shards.tables)
-            {
-                if lane.lossy.is_some() {
-                    continue;
-                }
-                lane.sent = lane.sent.saturating_add(1);
-                if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
-                    supervise_lane(lane, shard, shard_index, &self.policy, Some(ctrl), obs);
-                }
+            for lane in lanes.iter_mut() {
+                lane.send(ctrl(barrier_ctx));
             }
         }
+        // Pass 3: wait for every worker to acknowledge everything sent.
         let start = obs.map(|_| Instant::now());
-        wait_all(lanes, &self.shards.tables, &self.policy, ctrl, obs);
+        for lane in lanes.iter() {
+            lane.progress.wait_for(lane.sent);
+        }
         if let (Some(obs), Some(start)) = (obs, start) {
             obs.barrier_wait_ns.record(elapsed_ns(start));
-        }
-        // A lossy shard gets no records, but it closes the period with the
-        // live ones, still under the gate: a rollback left it at the
-        // previous count, and a frame that mixed counts would not restore.
-        if matches!(ctrl, Some(Ctrl::EndPeriod)) {
-            for (lane, shard) in lanes.iter().zip(&self.shards.tables) {
-                if lane.lossy.is_some() {
-                    lock_recover(shard).end_period();
-                }
-            }
         }
         if let Some((track, pending)) = barrier {
             track.finish(&pending, names::BARRIER_WAIT);
@@ -1261,7 +1116,7 @@ impl ParallelLtc {
                 t.last_barrier = Some(pending.ctx);
             }
         }
-        runtime_result(lanes)
+        runtime_result(lanes, &self.degraded)
     }
 
     /// Stop the workers (after draining everything queued) and reassemble
@@ -1287,15 +1142,13 @@ impl ParallelLtc {
     /// state, and their terminal faults ride along. The shutdown barrier
     /// rides the [`spsc`](crate::spsc) rings.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
-        let _ = self.barrier(Some(Ctrl::Shutdown));
-        let inner = inner_mut(&mut self.inner);
-        let mut faults = Vec::new();
-        for lane in &mut inner.lanes {
+        let faults = match self.barrier(Some(|_| Msg::Shutdown)) {
+            Ok(()) => Vec::new(),
+            Err(RuntimeError::ShardsLost { faults }) => faults,
+        };
+        for lane in &mut inner_mut(&mut self.inner).lanes {
             if let Some(handle) = lane.worker.take() {
                 let _ = handle.join();
-            }
-            if let Some(fault) = lane.lossy.clone() {
-                faults.push(fault);
             }
         }
         let shards = std::mem::take(&mut self.shards.tables)
@@ -1375,32 +1228,37 @@ impl ParallelLtc {
     }
 
     /// After a checkpoint restore rewrote every shard table at period count
-    /// `periods`: continue the runtime's count from it, replace each lane's
-    /// rollback image with a full image of the restored state so a future
-    /// rollback lands on it, and revive lossy lanes with a fresh worker and
-    /// a full retry budget (the operator restored on purpose). A refused
-    /// spawn degrades the lane again, as supervision would.
+    /// `periods` (the restore drained the pipeline first, so every worker
+    /// is idle): continue the runtime's count from it, reset each lane's
+    /// health record (the operator restored on purpose, so lossy shards
+    /// take records again with a full retry budget), and push each worker
+    /// a full image of its restored table, so a later rollback lands on
+    /// it. The image counts in `sent` but is not waited for; it reaches
+    /// the worker before any later message.
     pub(crate) fn reset_after_restore(&mut self, periods: u64) {
         self.restores = self.restores.saturating_add(1);
         self.periods = periods;
-        let obs = self.obs.as_deref();
         let lanes = &mut inner_mut(&mut self.inner).lanes;
-        for ((shard_index, lane), shard) in lanes.iter_mut().enumerate().zip(&self.shards.tables) {
-            *lock_recover(&lane.last_good) = lock_recover(shard).rollback_image();
-            lane.restarts = 0;
-            lane.records_lost = 0;
-            lane.last_fault_seq = None;
-            lane.pending = Vec::with_capacity(self.batch_size);
-            if lane.lossy.take().is_some() {
-                start_worker(lane, shard, shard_index, obs);
-            }
+        for (lane, table) in lanes.iter_mut().zip(&self.shards.tables) {
+            *lock_recover(&lane.health) = LaneHealth::default();
+            let image = lock_recover(table).rollback_image();
+            lane.send(Msg::Restore(image));
         }
     }
 }
 
 /// `Err(ShardsLost)` iff any lane is lossy; the runtime remains usable.
-fn runtime_result(lanes: &[Lane]) -> Result<(), RuntimeError> {
-    let faults: Vec<WorkerFault> = lanes.iter().filter_map(|lane| lane.lossy.clone()).collect();
+/// Reads the lanes' health only once `degraded` is raised. A worker
+/// raises it before it acknowledges the message it turned lossy on, so a
+/// barrier that waited for that acknowledgement sees it.
+fn runtime_result(lanes: &[Lane], degraded: &AtomicBool) -> Result<(), RuntimeError> {
+    if !degraded.load(Ordering::Acquire) {
+        return Ok(());
+    }
+    let faults: Vec<WorkerFault> = lanes
+        .iter()
+        .filter_map(|lane| lock_recover(&lane.health).lossy.clone())
+        .collect();
     if faults.is_empty() {
         Ok(())
     } else {
@@ -1411,12 +1269,11 @@ fn runtime_result(lanes: &[Lane]) -> Result<(), RuntimeError> {
 impl Drop for ParallelLtc {
     fn drop(&mut self) {
         // `into_sharded_lossy` already drained and joined (lanes emptied of
-        // workers); otherwise stop cleanly without asserting — a dead
-        // worker's queue refuses the message, which is fine.
+        // workers); otherwise stop each worker after its backlog.
         let inner = inner_mut(&mut self.inner);
         for lane in &mut inner.lanes {
             if lane.worker.is_some() {
-                let _ = lane.queue.push(Msg::Shutdown);
+                lane.send(Msg::Shutdown);
             }
         }
         for lane in &mut inner.lanes {
@@ -1435,7 +1292,7 @@ impl StreamProcessor for ParallelLtc {
 
     fn end_period(&mut self) {
         // Best-effort: a degraded runtime still closes the period on
-        // every live shard; `health()` exposes the loss.
+        // every shard; `health()` exposes the loss.
         let _ = ParallelLtc::end_period(self);
     }
 
@@ -1597,15 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_wait_errs_when_marked_dead() {
-        let progress = Progress::new();
-        progress.bump();
-        progress.mark_dead();
-        assert_eq!(progress.wait_for(1), Ok(()), "reached targets still ack");
-        assert_eq!(progress.wait_for(2), Err(BarrierPoisoned));
-    }
-
-    #[test]
     fn worker_fault_displays_shard_kind_and_message() {
         let fault = WorkerFault {
             shard: 3,
@@ -1624,12 +1472,9 @@ mod tests {
 
     #[test]
     fn fault_kinds_have_stable_names_and_codes() {
-        let kinds = [FaultKind::Panic, FaultKind::SpawnFailed, FaultKind::Silent];
-        let mut seen = std::collections::HashSet::new();
-        for kind in kinds {
-            assert!(seen.insert(kind.code()), "codes are distinct");
-            assert_eq!(kind.to_string(), kind.name());
-        }
+        assert_eq!(FaultKind::Panic.name(), "panic");
+        assert_eq!(FaultKind::Panic.code(), 0);
+        assert_eq!(FaultKind::Panic.to_string(), "panic");
     }
 
     #[test]

@@ -36,15 +36,16 @@
 //! `cursor & mask`, so cursor arithmetic stays correct across `usize`
 //! wraparound (`wrapping_sub` for length, masked indexing for position).
 //!
-//! ## Poisoning (worker-death path)
+//! ## Poisoning (closing a ring)
 //!
-//! A consumer that dies (shard-worker panic) would otherwise strand a
-//! producer blocked in [`push`](SpscRing::push) forever.
-//! [`poison`](SpscRing::poison) marks the ring dead and wakes both sides:
+//! A side that stops for good would otherwise strand its peer parked in
+//! [`push`](SpscRing::push) or [`pop`](SpscRing::pop) forever.
+//! [`poison`](SpscRing::poison) closes the ring and wakes both sides:
 //! `push` then refuses the item (returning `false`) and `pop` returns
-//! `None` once the queued backlog is gone. The supervisor can salvage that backlog
-//! with [`drain`](SpscRing::drain) *after* joining the dead consumer —
-//! sequencing that keeps the single-consumer contract intact.
+//! `None` once the queued backlog is delivered. A producer that is done
+//! closes its ring this way to end the consumer's loop. The pipeline never
+//! poisons a lane's ring: its workers recover from their own faults and
+//! leave only on a `Shutdown` message.
 
 // The SPSC ring is allowed to use `unsafe` (raw slot storage); every block
 // carries a SAFETY comment and the whole protocol is model-checked in
@@ -135,8 +136,8 @@ const CONSUMER_PARKED: usize = 1;
 /// Bit in [`SpscRing::waiting`]: the producer is parked (or about to park)
 /// waiting for `not_full`.
 const PRODUCER_PARKED: usize = 2;
-/// Bit in [`SpscRing::waiting`]: the ring is poisoned (its consumer died
-/// or the supervisor closed it); no message will ever be accepted again.
+/// Bit in [`SpscRing::waiting`]: the ring is poisoned (closed for good);
+/// no message will ever be accepted again.
 const POISONED: usize = 4;
 
 /// Largest capacity whose slot count (next power of two) fits in `usize`.
@@ -359,13 +360,10 @@ impl<T> SpscRing<T> {
         Some(self.take(head))
     }
 
-    /// Mark the ring dead and wake both sides. Idempotent.
+    /// Close the ring for good and wake both sides. Idempotent.
     ///
-    /// A dying worker (consumer) poisons its ring so the router is never
-    /// left blocked pushing to a queue nobody reads; the supervisor also
-    /// poisons a lane it is tearing down. Messages already queued remain
-    /// poppable/drainable — poison stops *future* traffic, it does not
-    /// destroy the backlog.
+    /// Messages already queued remain poppable — poison stops *future*
+    /// traffic, it does not destroy the backlog.
     pub fn poison(&self) {
         self.waiting.fetch_or(POISONED, Ordering::SeqCst);
         // Lock round-trip orders this wake after any sleeper's
@@ -378,20 +376,6 @@ impl<T> SpscRing<T> {
     /// Whether [`poison`](SpscRing::poison) has been called.
     pub fn is_poisoned(&self) -> bool {
         self.waiting.load(Ordering::SeqCst) & POISONED != 0
-    }
-
-    /// Salvage the queued backlog without blocking.
-    ///
-    /// Intended for the supervisor after the consumer has died: the
-    /// single-consumer contract passes to the caller, which must therefore
-    /// have observed the previous consumer's exit (joined its thread)
-    /// before draining.
-    pub fn drain(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(item) = self.try_pop() {
-            out.push(item);
-        }
-        out
     }
 
     /// Dequeue if a message is ready; never blocks.
@@ -662,28 +646,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         ring.poison();
         assert_eq!(consumer.join().unwrap(), None);
-    }
-
-    #[test]
-    fn drain_salvages_backlog_after_consumer_death() {
-        let ring = Arc::new(SpscRing::with_capacity(8));
-        for v in 0..5u32 {
-            ring.push(v);
-        }
-        // A consumer that dies mid-stream: pops two, poisons, exits.
-        let consumer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                let got = (ring.pop(), ring.pop());
-                ring.poison();
-                got
-            })
-        };
-        assert_eq!(consumer.join().unwrap(), (Some(0), Some(1)));
-        // The supervisor joined the consumer above, so it now owns the
-        // consumer role and can salvage the rest.
-        assert_eq!(ring.drain(), vec![2, 3, 4]);
-        assert_eq!(ring.drain(), Vec::<u32>::new());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic fault-injection suite: drives the named failpoints in the
-//! runtime (`worker::batch`, `worker::end_period`, `worker::spawn`,
-//! `checkpoint::write`, `spsc::push`) to prove every recovery path end to
-//! end — worker panic → supervised restart from the last period boundary;
-//! restart budget exhaustion or a refused spawn → lossy degradation with
-//! live queries; torn/corrupted checkpoint write → generation fallback on
-//! restore. Zero process aborts anywhere.
+//! runtime (`worker::batch`, `worker::end_period`, `checkpoint::write`,
+//! `spsc::push`) to prove every recovery path end to end — worker panic →
+//! the worker rolls its shard back to the last period boundary and carries
+//! on; restart budget exhaustion → lossy degradation with live queries;
+//! torn/corrupted checkpoint write → generation fallback on restore. Zero
+//! process aborts anywhere.
 //!
 //! Run with: `cargo test -p ltc-core --features failpoints --test fault_injection`
 //!
@@ -18,9 +18,9 @@ use ltc_core::durability::{DurabilityPolicy, DurabilityService};
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::obs::EventKind;
 use ltc_core::pipeline::ShardHealth;
-use ltc_core::{FaultKind, FaultPolicy, LtcConfig, ParallelLtc, RuntimeObs, ShardedLtc, SpscRing};
+use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, ShardedLtc, SpscRing};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// The failpoint registry is process-global, so scenarios must not
@@ -92,7 +92,7 @@ fn lossy_count(health: &[ShardHealth]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance scenario 1: seeded worker panic mid-stream → restart from the
+// Acceptance scenario 1: seeded worker panic mid-stream → rollback to the
 // last period boundary, stream continues, top-k still answers.
 
 #[test]
@@ -109,7 +109,7 @@ fn worker_panic_mid_stream_recovers_and_stream_continues() {
     for i in 0..200u64 {
         p.insert(i % 20);
     }
-    p.end_period().expect("supervision absorbed the panic");
+    p.end_period().expect("the worker absorbed the panic");
     failpoint::clear();
     // Exactly one restart happened, nothing degraded...
     let health = p.health();
@@ -130,9 +130,9 @@ fn worker_panic_mid_stream_recovers_and_stream_continues() {
 
 #[test]
 fn recovery_restores_exactly_the_last_epoch_boundary() {
-    // Single shard, deterministic loss: records after the checkpoint die
-    // with the worker, so the recovered table is bit-identical to a
-    // reference that never saw them.
+    // Single shard, deterministic loss: records after the boundary are
+    // rolled back with the faulting batch, so the recovered table is
+    // bit-identical to a reference that never saw them.
     let _guard = scenario();
     let mut p = runtime(1, 8);
     for i in 0..100u64 {
@@ -141,9 +141,9 @@ fn recovery_restores_exactly_the_last_epoch_boundary() {
     p.end_period().expect("healthy runtime"); // checkpoint at this boundary
     failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
     for i in 0..8u64 {
-        p.insert(1_000 + i); // exactly one batch; the worker dies on it
+        p.insert(1_000 + i); // exactly one batch; the worker faults on it
     }
-    p.sync().expect("supervision absorbed the panic");
+    p.sync().expect("the worker absorbed the panic");
     failpoint::clear();
     assert_eq!(restarts_of(&p.health()), 1);
     p.finish().expect("healthy after restart");
@@ -190,10 +190,10 @@ fn rollback_after_a_mid_period_checkpoint_lands_on_the_period_boundary() {
     service.checkpoint_now().expect("full base");
     p.insert_batch(&second_half);
     p.end_period().expect("healthy runtime");
-    // Period 3: the worker dies on its first batch and is rolled back.
+    // Period 3: the worker faults on its first batch and rolls back.
     failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
     p.insert_batch(&(0..8u64).map(|i| 5_000 + i).collect::<Vec<_>>());
-    p.sync().expect("supervision absorbed the panic");
+    p.sync().expect("the worker absorbed the panic");
     failpoint::clear();
     assert_eq!(restarts_of(&p.health()), 1);
 
@@ -232,10 +232,10 @@ fn rollback_after_a_mid_period_checkpoint_lands_on_the_period_boundary() {
 
 #[test]
 fn worker_panic_during_end_period_completes_the_barrier() {
-    // The worker dies *processing* the EndPeriod message itself; the
-    // supervisor must restore, respawn, and re-send the barrier message so
-    // end_period still returns (loom proves the wait can't deadlock; this
-    // proves the re-send path).
+    // The worker faults *processing* the EndPeriod message itself; it must
+    // roll back and apply the close again, so end_period still returns
+    // (loom proves the wait can't deadlock; this proves the retry) and
+    // every shard closes the period.
     let _guard = scenario();
     let mut p = runtime(2, 16);
     for i in 0..300u64 {
@@ -247,11 +247,64 @@ fn worker_panic_during_end_period_completes_the_barrier() {
         p.insert(i % 30);
     }
     p.end_period()
-        .expect("barrier completed despite the mid-epoch death");
+        .expect("barrier completed despite the mid-epoch fault");
     failpoint::clear();
     assert_eq!(restarts_of(&p.health()), 1);
     p.finish().expect("healthy after restart");
     assert_eq!(p.try_top_k(3).expect("no lossy shards").len(), 3);
+    let shards = p.into_sharded().expect("no lossy shards");
+    for s in 0..2 {
+        assert_eq!(
+            shards.shard(s).periods_completed(),
+            2,
+            "shard {s} closed the faulted period"
+        );
+    }
+}
+
+#[test]
+fn records_queued_behind_a_faulting_batch_are_applied() {
+    // Only the rollback's loss is lost: the records applied since the
+    // boundary and the faulting batch. The batches behind it are applied
+    // once the worker has recovered.
+    let _guard = scenario();
+    let mut p = runtime(1, 8);
+    let period_1: Vec<u64> = (0..100u64).map(|i| i % 10).collect();
+    let queued: Vec<u64> = (0..24u64).map(|i| 3_000 + i % 6).collect();
+    p.insert_batch(&period_1);
+    p.end_period().expect("healthy runtime");
+    p.insert_batch(&(0..8u64).map(|i| 1_000 + i).collect::<Vec<_>>());
+    p.sync().expect("healthy runtime");
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    p.insert_batch(&(0..8u64).map(|i| 2_000 + i).collect::<Vec<_>>());
+    p.insert_batch(&queued);
+    p.sync().expect("the worker absorbed the panic");
+    failpoint::clear();
+    let health = p.health();
+    assert!(
+        matches!(
+            health.as_slice(),
+            [ShardHealth::Healthy {
+                restarts: 1,
+                records_lost: 16,
+                ..
+            }]
+        ),
+        "8 applied since the boundary + the faulting 8 are lost: {health:?}"
+    );
+    p.finish().expect("healthy after restart");
+
+    let mut reference = ShardedLtc::new(config(), 1);
+    reference.insert_batch(&period_1);
+    reference.end_period();
+    reference.insert_batch(&queued);
+    reference.finalize();
+    // Frames, not `Debug`: stats are process-local and keep counting the
+    // rolled-back records.
+    assert!(
+        p.to_checkpoint() == reference.to_checkpoint(),
+        "the live shard is period 1 plus the queued records"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +323,7 @@ fn exhausted_restart_budget_degrades_to_lossy_but_queries_survive() {
         p.insert(i % 20);
     }
     p.end_period().expect("healthy runtime");
-    // Every batch panics from now on: each restart dies again until the
+    // Every batch panics from now on: each restart faults again until the
     // budget is gone on every shard.
     failpoint::configure("worker::batch", FailAction::Panic, FireSpec::always());
     let mut degraded = false;
@@ -412,70 +465,6 @@ fn restore_after_degradation_revives_lossy_shards() {
 }
 
 #[test]
-fn restore_whose_revive_spawn_fails_degrades_the_shard_again() {
-    // Same operator story, but the OS refuses the revived worker's thread:
-    // the shard must go lossy again the way supervision degrades one —
-    // typed fault, journaled degradation, counted degradation.
-    let _guard = scenario();
-    let scratch = ScratchDir::new("revive-spawn");
-    let store = Checkpointer::new(scratch.path()).unwrap();
-    let policy = FaultPolicy {
-        max_restarts: 1,
-        ..FaultPolicy::no_backoff()
-    };
-    let mut p = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
-    for i in 0..200u64 {
-        p.insert(i % 20);
-    }
-    p.end_period().expect("healthy runtime");
-    p.checkpoint_to(&store).expect("good checkpoint");
-    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::always());
-    for _ in 0..20 {
-        for i in 0..200u64 {
-            p.insert(i % 20);
-        }
-        if p.end_period().is_err() {
-            break;
-        }
-    }
-    failpoint::clear();
-    let shard = p
-        .health()
-        .iter()
-        .position(|h| matches!(h, ShardHealth::Lossy { .. }))
-        .expect("degraded as arranged");
-    let obs = Arc::clone(p.obs().expect("obs on by default"));
-    let degradations = |obs: &RuntimeObs| -> u64 {
-        let series = format!("ltc_worker_degradations_total{{shard=\"{shard}\"}} ");
-        let text = obs.render_prometheus();
-        text.lines()
-            .find_map(|l| l.strip_prefix(series.as_str()))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let before = degradations(&obs);
-    let _ = obs.journal().drain();
-
-    // The first (and only) revive spawn is refused.
-    failpoint::configure("worker::spawn", FailAction::Error, FireSpec::once());
-    p.restore_from(&store).expect("the restore itself succeeds");
-    failpoint::clear();
-
-    match &p.health()[shard] {
-        ShardHealth::Lossy { fault, .. } => assert_eq!(fault.kind, FaultKind::SpawnFailed),
-        other => panic!("shard {shard} should be lossy after a refused spawn: {other:?}"),
-    }
-    let events = obs.journal().drain();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == EventKind::Degradation && e.shard == Some(shard as u64)),
-        "degradation journaled after the restore: {events:?}"
-    );
-    assert_eq!(degradations(&obs), before + 1, "degradation counted");
-}
-
-#[test]
 fn degraded_runtime_checkpoints_restore_after_more_periods_close() {
     // A lossy shard gets no records but still closes every period with the
     // live one, so the degraded runtime's frames hold one period count and
@@ -532,7 +521,7 @@ fn seeded_panic_is_journaled_and_correlated_with_health() {
     for i in 0..200u64 {
         p.insert(i % 20);
     }
-    p.end_period().expect("supervision absorbed the panic");
+    p.end_period().expect("the worker absorbed the panic");
     failpoint::clear();
 
     let obs = p.obs().expect("obs on by default");
@@ -553,7 +542,7 @@ fn seeded_panic_is_journaled_and_correlated_with_health() {
     assert_eq!(restarts, 1, "one restart across all shards: {text}");
 
     // The journal holds the fault + rollback pair, and health() names the
-    // fault event's sequence number on exactly the shard that died.
+    // fault event's sequence number on exactly the shard that faulted.
     let events = obs.journal().drain();
     let fault = events
         .iter()

@@ -1,8 +1,9 @@
 //! Model-checks the event journal (`src/obs/journal.rs`, a bounded
 //! `VecDeque` behind one `shim::Mutex`) under the vendored loom explorer.
-//! Its publishers are the runtime's owner thread and the durability
-//! thread, and a drainer may run beside them; every lock order between
-//! them is a scheduler decision here.
+//! Its publishers are the runtime's owner thread, the durability thread
+//! and the shard workers (fault, rollback and degradation events), and a
+//! drainer may run beside them; every lock order between them is a
+//! scheduler decision here.
 //!
 //! What the models prove per interleaving:
 //!

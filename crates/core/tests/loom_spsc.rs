@@ -116,8 +116,8 @@ fn spsc_drop_with_items_in_flight_is_clean_in_model() {
 
 #[test]
 fn poison_releases_a_parked_producer_in_every_interleaving() {
-    // The worker-death path: the consumer dies (poisons) instead of
-    // popping while the producer may be parked on a full ring. In every
+    // The closing path: the consumer stops (poisons) instead of popping
+    // while the producer may be parked on a full ring. In every
     // interleaving the producer must return — a missed poison wakeup
     // strands it and surfaces as a loom deadlock report.
     let report = loom::model(|| {
@@ -148,7 +148,7 @@ fn poison_releases_a_parked_producer_in_every_interleaving() {
 #[test]
 fn poison_releases_a_parked_consumer_and_keeps_the_backlog() {
     // Dual direction: the consumer may be parked on an empty ring when the
-    // producer pushes once and dies (poisons). The consumer must get the
+    // producer pushes once and stops (poisons). The consumer must get the
     // queued item first and the poison verdict second — never a lost item,
     // never a permanent sleep.
     let report = loom::model(|| {

@@ -12,7 +12,7 @@
 //! * `checkpoint::compact`   — torn frame during chain compaction
 //! * `checkpoint::fsync`     — fsync fails: nothing may publish
 //! * `checkpoint::rename`    — crash between temp write and rename
-//! * `worker::batch`         — shard worker dies while the service runs
+//! * `worker::batch`         — shard worker faults while the service runs
 //!
 //! Recovered state is compared **bit-exactly** (`to_checkpoint` bytes)
 //! against a reference replay of the acknowledged prefix — the records
@@ -525,9 +525,9 @@ fn torture_cycle_is_deterministic_across_runs() {
 }
 
 // ---------------------------------------------------------------------------
-// The service coexists with worker supervision: a shard worker dying does
-// not corrupt the chain, and checkpoints made after its restart cover the
-// restored worker state.
+// The service coexists with worker recovery: a shard worker faulting does
+// not corrupt the chain, and checkpoints made after its recovery cover the
+// rolled-back shard state.
 
 #[test]
 fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
@@ -542,13 +542,13 @@ fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
     )
     .unwrap();
     service.checkpoint_now().expect("base");
-    // The worker dies mid-batch; supervision rolls the shard back to its
-    // last period boundary and respawns.
+    // The worker faults mid-batch; it rolls the shard back to its last
+    // period boundary and carries on.
     failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
     for i in 0..8u64 {
         p.insert(10_000 + i);
     }
-    p.sync().expect("supervision absorbed the panic");
+    p.sync().expect("the worker absorbed the panic");
     failpoint::clear();
     // A delta checkpoint after the recovery covers the *restored* state.
     let generation = service.checkpoint_now().expect("post-recovery delta");
@@ -565,8 +565,8 @@ fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
         acknowledged,
         "checkpoint covers the post-rollback shard state"
     );
-    // The rolled-back shard equals the round-0 boundary: the panicked
-    // batch died with the worker.
+    // The rolled-back shard equals the round-0 boundary: the worker
+    // dropped the panicked batch.
     assert_eq!(q.to_checkpoint(), {
         let mut reference = runtime(1, 8);
         ingest_round(&mut reference, 0);

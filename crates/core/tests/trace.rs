@@ -159,13 +159,13 @@ mod failpoints {
             p.insert(i % 50);
         }
         p.end_period().expect("healthy runtime");
-        // Seed the fault: the next batch any worker applies panics; the
-        // supervisor rolls the shard back and resends.
+        // Seed the fault: the next batch any worker applies panics; that
+        // worker rolls its shard back and carries on.
         failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
         for i in 0..1_000u64 {
             p.insert(i % 50);
         }
-        p.end_period().expect("supervision absorbed the panic");
+        p.end_period().expect("the worker absorbed the panic");
         failpoint::clear();
 
         let obs = p.obs().expect("obs on by default").clone();

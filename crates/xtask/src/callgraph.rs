@@ -31,7 +31,8 @@ use crate::lexer::{is_keyword, TokenKind};
 use crate::resolve::Workspace;
 use crate::rules::index::index_expr_open;
 use crate::tokentree::{Delim, Tree};
-use crate::FileAnalysis;
+use crate::{json_object, FileAnalysis};
+use serde::{Serialize, Value};
 
 /// Effect categories the purity rule can deny.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -766,64 +767,56 @@ pub fn to_dot(ws: &Workspace, graph: &CallGraph) -> String {
     out
 }
 
-/// JSON export: one object with `fns` and `edges` arrays, hand-rolled
-/// but escaped properly.
+/// JSON export: one object with `fns` and `edges` arrays.
 pub fn to_json(ws: &Workspace, graph: &CallGraph) -> String {
-    let esc = crate::json_escape;
-    let mut out = String::from("{\"fns\":[");
-    for (i, def) in ws.fns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let facts = &graph.facts[i];
-        let mut kinds: Vec<&str> = facts
-            .effects
-            .iter()
-            .map(|e| e.kind.name())
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        kinds.sort_unstable();
-        let effects = kinds
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "{{\"id\":{i},\"name\":\"{}\",\"self_type\":{},\"file\":\"{}\",\"line\":{},\
-             \"pub\":{},\"unsafe\":{},\"effects\":[{effects}],\"opaque_calls\":{}}}",
-            esc(&def.name),
-            match &def.self_type {
-                Some(t) => format!("\"{}\"", esc(t)),
-                None => "null".to_string(),
-            },
-            esc(&ws.files[def.file].rel),
-            def.line,
-            def.is_pub,
-            facts.has_unsafe,
-            facts.opaque.len()
-        ));
-    }
-    out.push_str("],\"edges\":[");
-    let mut first = true;
+    let fns = ws
+        .fns
+        .iter()
+        .zip(&graph.facts)
+        .enumerate()
+        .map(|(i, (def, facts))| {
+            let mut effects: Vec<&str> = facts
+                .effects
+                .iter()
+                .map(|e| e.kind.name())
+                .collect::<HashSet<_>>()
+                .into_iter()
+                .collect();
+            effects.sort_unstable();
+            json_object([
+                ("id", i.to_json_value()),
+                ("name", def.name.to_json_value()),
+                ("self_type", def.self_type.to_json_value()),
+                ("file", ws.files[def.file].rel.to_json_value()),
+                ("line", def.line.to_json_value()),
+                ("pub", def.is_pub.to_json_value()),
+                ("unsafe", facts.has_unsafe.to_json_value()),
+                ("effects", effects.to_json_value()),
+                ("opaque_calls", facts.opaque.len().to_json_value()),
+            ])
+        });
+    let mut edges = Vec::new();
     for (i, facts) in graph.facts.iter().enumerate() {
         for call in &facts.calls {
             let mut targets: Vec<usize> = call.targets.clone();
             targets.sort_unstable();
             targets.dedup();
+            let kind = match call.kind {
+                CallKind::Direct => "direct",
+                CallKind::Ambiguous => "ambiguous",
+            };
             for t in targets {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let kind = match call.kind {
-                    CallKind::Direct => "direct",
-                    CallKind::Ambiguous => "ambiguous",
-                };
-                out.push_str(&format!("{{\"from\":{i},\"to\":{t},\"kind\":\"{kind}\"}}"));
+                edges.push(json_object([
+                    ("from", i.to_json_value()),
+                    ("to", t.to_json_value()),
+                    ("kind", kind.to_json_value()),
+                ]));
             }
         }
     }
-    out.push_str("]}");
-    out
+    let export = json_object([
+        ("fns", Value::Arr(fns.collect())),
+        ("edges", Value::Arr(edges)),
+    ]);
+    serde_json::to_string(&export).expect("writing a JSON tree cannot fail")
 }

@@ -51,6 +51,7 @@
 //! message}` record per line, waived findings included), and
 //! `--format github` (workflow `::error` annotations).
 
+use serde::{Serialize, Value};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -873,39 +874,29 @@ fn collect_rs_files(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) -> Resu
 // Output formats
 // ---------------------------------------------------------------------------
 
-/// Escape a string for a JSON value.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len().saturating_add(2));
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON object of `(key, value)` pairs, keys in the given order.
+pub(crate) fn json_object<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Obj(
+        pairs
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 /// One machine-readable record:
 /// `{"rule":…,"file":…,"line":…,"col":…,"snippet":…,"waived":…,"message":…}`.
 pub fn json_record(v: &Violation) -> String {
-    format!(
-        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"snippet\":\"{}\",\
-         \"waived\":{},\"message\":\"{}\"}}",
-        json_escape(v.rule),
-        json_escape(&v.file),
-        v.line,
-        v.col,
-        json_escape(&v.snippet),
-        v.waived,
-        json_escape(&v.message)
-    )
+    let record = json_object([
+        ("rule", v.rule.to_json_value()),
+        ("file", v.file.to_json_value()),
+        ("line", v.line.to_json_value()),
+        ("col", v.col.to_json_value()),
+        ("snippet", v.snippet.to_json_value()),
+        ("waived", v.waived.to_json_value()),
+        ("message", v.message.to_json_value()),
+    ]);
+    serde_json::to_string(&record).expect("writing a JSON tree cannot fail")
 }
 
 /// A GitHub Actions workflow annotation (`::error file=…`). Newlines in
